@@ -95,10 +95,23 @@ pub struct ArrayStats {
 }
 
 impl ArrayStats {
-    /// Bytes of one shuffled tile record: `(i64, i64)` coordinate plus the
-    /// [`tiled::DenseMatrix`] payload (its `SizeOf` is `16 + 8 * n^2`).
+    /// Encoded bytes of one shuffled tile record: `(i64, i64)` coordinate
+    /// plus the [`tiled::DenseMatrix`] payload (`rows`, `cols`, vec length,
+    /// then `8 * n^2` of data).
     pub fn dense_tile_bytes(tile_size: usize) -> u64 {
-        16 + 16 + 8 * (tile_size as u64) * (tile_size as u64)
+        16 + 24 + 8 * (tile_size as u64) * (tile_size as u64)
+    }
+
+    /// Encoded bytes of one block-vector record: `i64` key plus the
+    /// `Vec<f64>` payload (length prefix, then `8 * n` of data).
+    pub fn block_bytes(block_size: usize) -> u64 {
+        8 + 8 + 8 * block_size as u64
+    }
+
+    /// Estimated bytes of `tiles` sparse tiles holding `nnz` stored elements
+    /// in CSC form: ~12 bytes per element plus 32 bytes of framing per tile.
+    pub fn csc_bytes(tiles: f64, nnz: f64) -> f64 {
+        32.0 * tiles + 12.0 * nnz
     }
 
     /// Stats for a tiled matrix, from metadata alone.
@@ -127,8 +140,7 @@ impl ArrayStats {
             block_rows: blocks,
             block_cols: 1,
             nnz: None,
-            // One block record: i64 key + Vec<f64> payload (4 + 8 * n).
-            estimated_bytes: blocks as u64 * (8 + 4 + 8 * block_size as u64),
+            estimated_bytes: blocks as u64 * ArrayStats::block_bytes(block_size),
         }
     }
 
@@ -177,7 +189,8 @@ impl ArrayStats {
         let dense = ArrayStats::dense_tile_bytes(self.tile_size);
         match self.density() {
             Some(d) => {
-                let csc = 32.0 + d * 12.0 * (self.tile_size as f64) * (self.tile_size as f64);
+                let n = self.tile_size as f64;
+                let csc = ArrayStats::csc_bytes(1.0, d * n * n);
                 (csc.min(dense as f64)) as u64
             }
             None => dense,
@@ -451,6 +464,17 @@ mod tests {
         assert!(env.unpersist_all() > 0);
         assert_eq!(ctx.storage_status().blocks_in_memory, 0);
         assert_eq!(env.unpersist_all(), 0);
+    }
+
+    #[test]
+    fn record_byte_estimates_match_the_codec() {
+        use sparkline::SpillCodec;
+        for n in [1, 4, 64] {
+            let tile = ((3i64, 5i64), tiled::DenseMatrix::zeros(n, n));
+            assert_eq!(ArrayStats::dense_tile_bytes(n), tile.encoded_len() as u64);
+            let block = (7i64, vec![0.0f64; n]);
+            assert_eq!(ArrayStats::block_bytes(n), block.encoded_len() as u64);
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl StageFrontier {
         // encodings of what actually materialized. For honest dense
         // registrations this reproduces `ArrayStats::matrix` exactly.
         let dense = tiles * ArrayStats::dense_tile_bytes(m.tile_size());
-        let csc = tiles * 32 + 12 * nnz;
+        let csc = ArrayStats::csc_bytes(tiles as f64, nnz as f64) as u64;
         let mut stats = ArrayStats::matrix(m.rows(), m.cols(), m.tile_size()).with_nnz(nnz);
         stats.estimated_bytes = dense.min(csc);
         StageFrontier {
@@ -96,8 +96,7 @@ impl StageFrontier {
             .map_partitions_stream(|pid, blocks| {
                 let (mut bytes, mut nnz) = (0u64, 0u64);
                 blocks.for_each_ref(|(_, b)| {
-                    // One block record: i64 key + Vec<f64> payload.
-                    bytes += 8 + 4 + 8 * b.len() as u64;
+                    bytes += ArrayStats::block_bytes(b.len());
                     nnz += b.iter().filter(|x| **x != 0.0).count() as u64;
                 });
                 PartitionStream::from_vec(vec![(pid as u64, (bytes, nnz))])

@@ -4,7 +4,6 @@ use crate::context::{Context, StageMeta};
 use crate::ops::{CachedOp, MapPartitionsOp, Op, SourceOp, UnionOp};
 use crate::partitioner::KeyPartitioner;
 use crate::shuffle::{Aggregator, CoGroupOp, ShuffleOp};
-use crate::size::SizeOf;
 use crate::storage::{PersistOp, SpillCodec, StorageLevel};
 use crate::stream::PartitionStream;
 use crate::Data;
@@ -171,7 +170,7 @@ impl<T: Data> Dataset<T> {
     /// deduplicating shuffle keyed by the element itself.
     pub fn distinct(&self, partitions: usize) -> Dataset<T>
     where
-        T: std::hash::Hash + Eq + SizeOf + SpillCodec,
+        T: std::hash::Hash + Eq + SpillCodec,
     {
         self.map(|x| (x, ()))
             .reduce_by_key(partitions, |_, _| ())
@@ -196,7 +195,7 @@ impl<T: Data> Dataset<T> {
     /// are transparently recomputed from lineage.
     pub fn persist(&self) -> Dataset<T>
     where
-        T: SizeOf + SpillCodec,
+        T: SpillCodec,
     {
         self.persist_with(StorageLevel::Memory)
     }
@@ -206,7 +205,7 @@ impl<T: Data> Dataset<T> {
     /// file instead of dropping them.
     pub fn persist_with(&self, level: StorageLevel) -> Dataset<T>
     where
-        T: SizeOf + SpillCodec,
+        T: SpillCodec,
     {
         Dataset {
             ctx: self.ctx.clone(),
@@ -281,8 +280,8 @@ impl<T: Data> Dataset<T> {
 
 impl<K, V> Dataset<(K, V)>
 where
-    K: Data + Hash + Eq + SizeOf,
-    V: Data + SizeOf,
+    K: Data + Hash + Eq,
+    V: Data,
 {
     /// Transform values, keeping keys (and therefore partitioning).
     pub fn map_values<U: Data>(
@@ -362,7 +361,7 @@ where
     /// Generic combine-by-key shuffle (Spark's `combineByKey`). Keys and
     /// combiners must be wire-encodable ([`SpillCodec`]): in multi-process
     /// mode every bucket crosses a process boundary as a checksummed frame.
-    pub fn shuffle<C: Data + SizeOf + SpillCodec>(
+    pub fn shuffle<C: Data + SpillCodec>(
         &self,
         partitioner: KeyPartitioner<K>,
         agg: Aggregator<V, C>,
@@ -403,7 +402,7 @@ where
     /// Cogroup with another keyed dataset: all values for each key from both
     /// sides. Narrow (no shuffle) for sides already co-partitioned with the
     /// chosen partitioner.
-    pub fn cogroup<W: Data + SizeOf + SpillCodec>(
+    pub fn cogroup<W: Data + SpillCodec>(
         &self,
         other: &Dataset<(K, W)>,
         partitions: usize,
@@ -417,7 +416,7 @@ where
 
     /// Cogroup with an explicit partitioner. If either input is already
     /// partitioned by an equal partitioner it is not re-shuffled.
-    pub fn cogroup_with<W: Data + SizeOf + SpillCodec>(
+    pub fn cogroup_with<W: Data + SpillCodec>(
         &self,
         other: &Dataset<(K, W)>,
         partitioner: KeyPartitioner<K>,
@@ -439,7 +438,7 @@ where
     }
 
     /// Inner join: one output record per matching pair of values.
-    pub fn join<W: Data + SizeOf + SpillCodec>(
+    pub fn join<W: Data + SpillCodec>(
         &self,
         other: &Dataset<(K, W)>,
         partitions: usize,
@@ -452,7 +451,7 @@ where
     }
 
     /// Inner join with an explicit partitioner.
-    pub fn join_with<W: Data + SizeOf + SpillCodec>(
+    pub fn join_with<W: Data + SpillCodec>(
         &self,
         other: &Dataset<(K, W)>,
         partitioner: KeyPartitioner<K>,

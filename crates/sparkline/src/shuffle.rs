@@ -31,7 +31,6 @@ use crate::events::Event;
 use crate::metrics::ShuffleDetail;
 use crate::ops::Op;
 use crate::partitioner::KeyPartitioner;
-use crate::size::SizeOf;
 use crate::storage::SpillCodec;
 use crate::stream::PartitionStream;
 use crate::sync::Mutex;
@@ -398,9 +397,9 @@ pub struct ShuffleOp<K: Data, V: Data, C: Data> {
 
 impl<K, V, C> ShuffleOp<K, V, C>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
     V: Data,
-    C: Data + SizeOf + SpillCodec,
+    C: Data + SpillCodec,
 {
     pub fn new(
         ctx: &Context,
@@ -535,23 +534,14 @@ where
                             }
                             buckets
                         };
-                        // True wire accounting: whenever the buckets are
-                        // serialized anyway (multi-process mode) or the run
-                        // is traced, `bytes` is the exact framed wire length,
-                        // so `plan_chosen` est-vs-actual compares against real
-                        // serialized bytes. Untraced local runs keep the
-                        // cheap shallow estimate.
-                        let frames: Option<Vec<Vec<u8>>> = (remote.is_some() || tracing)
-                            .then(|| buckets.iter().map(wire::encode_frame).collect());
-                        let bytes: u64 = match &frames {
-                            Some(frames) => frames.iter().map(|f| f.len() as u64).sum(),
-                            None => buckets
-                                .iter()
-                                .flat_map(|b| b.iter())
-                                .map(|(k, c)| (k.size_of() + c.size_of()) as u64)
-                                .sum(),
-                        };
-                        if let (Some(group), Some(frames)) = (remote.as_ref(), frames) {
+                        // True wire accounting on every run: `bytes` is the
+                        // exact framed length of the buckets, computed
+                        // arithmetically. Frames are only built when they
+                        // travel (multi-process mode).
+                        let bytes: u64 = buckets.iter().map(wire::encoded_len).sum();
+                        if let Some(group) = remote.as_ref() {
+                            let frames: Vec<Vec<u8>> =
+                                buckets.iter().map(wire::encode_frame).collect();
                             // External-shuffle-service mode: park every frame
                             // in the driver-visible directory first, so the
                             // bytes survive the worker process.
@@ -770,11 +760,11 @@ where
                                 .expect("bucket checked present under the fetch lock")
                         })
                         .collect();
-                    // Shuffle-read sizes are only measured when tracing,
+                    // Shuffle-read sizes are only reported when tracing,
                     // and mirror the write side exactly: the framed wire
                     // length these buckets would occupy on a socket, so
-                    // local traced runs and multi-process runs account
-                    // identical byte totals.
+                    // local and multi-process runs account identical byte
+                    // totals.
                     let read = tracing.then(|| {
                         let bytes: u64 = buckets.iter().map(wire::encoded_len).sum();
                         let records: u64 = buckets.iter().map(Vec::len).sum::<usize>() as u64;
@@ -925,9 +915,9 @@ where
 
 impl<K, V, C> Op<(K, C)> for ShuffleOp<K, V, C>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
     V: Data,
-    C: Data + SizeOf + SpillCodec,
+    C: Data + SpillCodec,
 {
     fn num_partitions(&self) -> usize {
         self.partitioner.partitions()
@@ -963,8 +953,8 @@ pub(crate) enum CoGroupSide<K: Data, V: Data> {
 
 impl<K, V> CoGroupSide<K, V>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
-    V: Data + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
+    V: Data + SpillCodec,
 {
     fn grouped_partition(&self, part: usize, ctx: &Context) -> PartitionStream<(K, Vec<V>)> {
         match self {
@@ -997,9 +987,9 @@ pub struct CoGroupOp<K: Data, V: Data, W: Data> {
 
 impl<K, V, W> CoGroupOp<K, V, W>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
-    V: Data + SizeOf + SpillCodec,
-    W: Data + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
+    V: Data + SpillCodec,
+    W: Data + SpillCodec,
 {
     /// Build a cogroup, shuffling only the sides that are not already
     /// co-partitioned with `partitioner`.
@@ -1051,9 +1041,9 @@ where
 
 impl<K, V, W> Op<(K, (Vec<V>, Vec<W>))> for CoGroupOp<K, V, W>
 where
-    K: Data + Hash + Eq + SizeOf + SpillCodec,
-    V: Data + SizeOf + SpillCodec,
-    W: Data + SizeOf + SpillCodec,
+    K: Data + Hash + Eq + SpillCodec,
+    V: Data + SpillCodec,
+    W: Data + SpillCodec,
 {
     fn num_partitions(&self) -> usize {
         self.partitioner.partitions()

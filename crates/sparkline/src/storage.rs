@@ -3,8 +3,9 @@
 //!
 //! Persisted datasets ([`crate::Dataset::persist`]) store their computed
 //! partitions here as *blocks* keyed by `(dataset id, partition)`. The
-//! manager enforces a byte budget over all in-memory blocks (sizes estimated
-//! with [`SizeOf`], the same accounting the shuffle layer uses): inserting a
+//! manager enforces a byte budget over all in-memory blocks (sizes are the
+//! exact [`SpillCodec::encoded_len`], the byte count the shuffle layer and
+//! the cost model use too): inserting a
 //! block past the budget evicts the least-recently-used blocks, and evicted
 //! blocks of [`StorageLevel::MemoryAndDisk`] datasets spill to a temp file
 //! instead of being dropped. Reads of spilled blocks decode from disk; reads
@@ -19,7 +20,6 @@
 use crate::context::Context;
 use crate::events::Event;
 use crate::ops::Op;
-use crate::size::SizeOf;
 use crate::stream::PartitionStream;
 use crate::sync::Mutex;
 use crate::Data;
@@ -44,12 +44,17 @@ pub enum StorageLevel {
 // Spill codec
 // ---------------------------------------------------------------------------
 
-/// Binary encode/decode for spill-to-disk (the build has no serde; this is a
-/// fixed little-endian codec analogous to the [`SizeOf`] estimate).
+/// Binary encode/decode for spill files and shuffle frames (the build has no
+/// serde; this is a fixed little-endian codec), and the one byte count the
+/// runtime uses: storage budgets, shuffle metrics, trace events and the
+/// planner's cost-model actuals all read [`SpillCodec::encoded_len`].
 ///
 /// `decode` advances `pos` past the consumed bytes and returns `None` on a
 /// truncated or malformed buffer (the manager treats that as a cache miss).
 pub trait SpillCodec: Sized {
+    /// Exact number of bytes [`SpillCodec::encode`] appends, computed
+    /// arithmetically without encoding.
+    fn encoded_len(&self) -> usize;
     fn encode(&self, out: &mut Vec<u8>);
     fn decode(buf: &[u8], pos: &mut usize) -> Option<Self>;
 }
@@ -57,6 +62,9 @@ pub trait SpillCodec: Sized {
 macro_rules! codec_fixed {
     ($($t:ty),* $(,)?) => {
         $(impl SpillCodec for $t {
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$t>()
+            }
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
@@ -73,6 +81,9 @@ macro_rules! codec_fixed {
 codec_fixed!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 
 impl SpillCodec for usize {
+    fn encoded_len(&self) -> usize {
+        8
+    }
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
     }
@@ -82,6 +93,9 @@ impl SpillCodec for usize {
 }
 
 impl SpillCodec for isize {
+    fn encoded_len(&self) -> usize {
+        8
+    }
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as i64).encode(out);
     }
@@ -91,6 +105,9 @@ impl SpillCodec for isize {
 }
 
 impl SpillCodec for bool {
+    fn encoded_len(&self) -> usize {
+        1
+    }
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(*self as u8);
     }
@@ -100,6 +117,9 @@ impl SpillCodec for bool {
 }
 
 impl SpillCodec for char {
+    fn encoded_len(&self) -> usize {
+        4
+    }
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u32).encode(out);
     }
@@ -109,6 +129,9 @@ impl SpillCodec for char {
 }
 
 impl SpillCodec for () {
+    fn encoded_len(&self) -> usize {
+        0
+    }
     fn encode(&self, _out: &mut Vec<u8>) {}
     fn decode(_buf: &[u8], _pos: &mut usize) -> Option<Self> {
         Some(())
@@ -116,6 +139,9 @@ impl SpillCodec for () {
 }
 
 impl SpillCodec for String {
+    fn encoded_len(&self) -> usize {
+        8 + self.len()
+    }
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
         out.extend_from_slice(self.as_bytes());
@@ -129,6 +155,9 @@ impl SpillCodec for String {
 }
 
 impl<T: SpillCodec> SpillCodec for Option<T> {
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len)
+    }
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             None => out.push(0),
@@ -148,6 +177,9 @@ impl<T: SpillCodec> SpillCodec for Option<T> {
 }
 
 impl<T: SpillCodec> SpillCodec for Vec<T> {
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(T::encoded_len).sum::<usize>()
+    }
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
         for item in self {
@@ -169,6 +201,11 @@ impl<T: SpillCodec> SpillCodec for Vec<T> {
 macro_rules! codec_tuple {
     ($($name:ident),+) => {
         impl<$($name: SpillCodec),+> SpillCodec for ($($name,)+) {
+            #[allow(non_snake_case)]
+            fn encoded_len(&self) -> usize {
+                let ($($name,)+) = self;
+                0 $(+ $name.encoded_len())+
+            }
             #[allow(non_snake_case)]
             fn encode(&self, out: &mut Vec<u8>) {
                 let ($($name,)+) = self;
@@ -202,7 +239,7 @@ enum Tier {
 }
 
 struct BlockEntry {
-    /// Estimated in-memory size ([`SizeOf`]) of the partition.
+    /// Encoded size ([`SpillCodec::encoded_len`]) of the partition.
     bytes: usize,
     /// LRU clock value of the last touch.
     tick: u64,
@@ -291,7 +328,7 @@ pub struct PutOutcome {
 /// A successful cache read.
 pub struct CacheRead<T> {
     pub data: Arc<Vec<T>>,
-    /// The block's estimated in-memory size.
+    /// The block's encoded size.
     pub bytes: u64,
     /// True if the block was decoded from a spill file.
     pub from_disk: bool,
@@ -487,14 +524,14 @@ impl BlockManager {
     }
 
     /// Store a computed partition, evicting LRU blocks to fit the budget.
-    pub fn put<T: Data + SizeOf + SpillCodec>(
+    pub fn put<T: Data + SpillCodec>(
         &self,
         dataset: u64,
         partition: usize,
         data: Arc<Vec<T>>,
         level: StorageLevel,
     ) -> PutOutcome {
-        let bytes = data.as_ref().size_of();
+        let bytes = data.encoded_len();
         let encode: Arc<dyn Fn(&ErasedPart) -> Vec<u8> + Send + Sync> = Arc::new(|any| {
             let v = any
                 .downcast_ref::<Vec<T>>()
@@ -766,7 +803,7 @@ fn emit_cache_event(ctx: &Context, build: impl FnOnce(Option<u64>) -> Event) {
     }
 }
 
-impl<T: Data + SizeOf + SpillCodec> Op<T> for PersistOp<T> {
+impl<T: Data + SpillCodec> Op<T> for PersistOp<T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
@@ -825,7 +862,7 @@ impl<T: Data + SizeOf + SpillCodec> Op<T> for PersistOp<T> {
             emit_cache_event(ctx, |stage_id| Event::CacheSpill {
                 dataset: self.id,
                 partition: part,
-                bytes: data.as_ref().size_of() as u64,
+                bytes: data.encoded_len() as u64,
                 stage_id,
             });
         }
@@ -872,6 +909,48 @@ mod tests {
         assert_eq!(back, v);
     }
 
+    /// `encoded_len` is exact: it equals the bytes `encode` appends.
+    fn assert_exact_len<T: SpillCodec>(v: &T) {
+        let mut buf = Vec::new();
+        v.encode(&mut buf);
+        assert_eq!(v.encoded_len(), buf.len());
+    }
+
+    #[test]
+    fn encoded_len_matches_encode_for_every_impl() {
+        assert_exact_len(&1u8);
+        assert_exact_len(&-1i8);
+        assert_exact_len(&2u16);
+        assert_exact_len(&-2i16);
+        assert_exact_len(&3u32);
+        assert_exact_len(&-3i32);
+        assert_exact_len(&4u64);
+        assert_exact_len(&-4i64);
+        assert_exact_len(&0.5f32);
+        assert_exact_len(&-0.5f64);
+        assert_exact_len(&5usize);
+        assert_exact_len(&-5isize);
+        assert_exact_len(&true);
+        assert_exact_len(&'é');
+        assert_exact_len(&());
+        // Multi-byte UTF-8: the length counts bytes, not chars.
+        assert_exact_len(&"héllo, 世界 🦀".to_string());
+        assert_exact_len(&String::new());
+        assert_exact_len(&Some(7i32));
+        assert_exact_len(&None::<f64>);
+        assert_exact_len(&Some(Some("x".to_string())));
+        assert_exact_len(&Vec::<f64>::new());
+        assert_exact_len(&vec![vec![1i32, 2], vec![], vec![3]]);
+        assert_exact_len(&(1u8,));
+        assert_exact_len(&(1i64, 2.0f64));
+        assert_exact_len(&((1i64, 2i64), vec![0.0f64; 9]));
+        assert_exact_len(&(1u8, 'z', "four".to_string()));
+        assert_exact_len(&(1u8, 2u16, 3u32, Some(4u64)));
+        assert_exact_len(&(1u8, (), vec![true], None::<i8>, 5i64));
+        let nested = vec![(6i64, vec!["seven".to_string()])];
+        assert_exact_len(&(1u8, 2u8, 3u8, 4u8, 5u8, nested));
+    }
+
     #[test]
     fn codec_rejects_truncation() {
         let mut buf = Vec::new();
@@ -889,18 +968,18 @@ mod tests {
         let read = m.get::<i64>(1, 0).expect("hit");
         assert_eq!(*read.data, vec![1, 2, 3]);
         assert!(!read.from_disk);
-        // 4-byte Vec header + 3 * 8.
-        assert_eq!(read.bytes, 28);
+        // 8-byte Vec header + 3 * 8.
+        assert_eq!(read.bytes, 32);
         let status = m.status();
-        assert_eq!(status.memory_used, 28);
+        assert_eq!(status.memory_used, 32);
         assert_eq!(status.blocks_in_memory, 1);
         assert_eq!(status.budget, Some(10_000));
     }
 
     #[test]
     fn lru_eviction_drops_coldest_block() {
-        // Each 3-element i64 block is 28 bytes; budget fits two.
-        let m = BlockManager::new(60);
+        // Each 3-element i64 block is 32 bytes; budget fits exactly two.
+        let m = BlockManager::new(64);
         m.put(1, 0, part(&[1, 1, 1]), StorageLevel::Memory);
         m.put(1, 1, part(&[2, 2, 2]), StorageLevel::Memory);
         // Touch block 0 so block 1 is the LRU victim.
@@ -911,7 +990,7 @@ mod tests {
             vec![Evicted {
                 dataset: 1,
                 partition: 1,
-                bytes: 28,
+                bytes: 32,
                 spilled: false
             }]
         );
@@ -924,7 +1003,7 @@ mod tests {
 
     #[test]
     fn eviction_spills_disk_level_blocks_and_reads_them_back() {
-        let m = BlockManager::new(60);
+        let m = BlockManager::new(64);
         m.put(7, 0, part(&[10, 20, 30]), StorageLevel::MemoryAndDisk);
         m.put(7, 1, part(&[40, 50, 60]), StorageLevel::MemoryAndDisk);
         let out = m.put(7, 2, part(&[70, 80, 90]), StorageLevel::MemoryAndDisk);
@@ -1086,10 +1165,10 @@ mod tests {
     #[test]
     fn tenant_quota_evicts_same_tenant_lru_first() {
         let ctx = Context::builder().workers(1).chaos_off().build();
-        // Global budget unlimited: only tenant 1's quota (two 28-byte
-        // blocks) forces eviction, and only among tenant 1's blocks.
+        // Global budget unlimited: only tenant 1's quota (exactly two
+        // 32-byte blocks) forces eviction, and only among tenant 1's blocks.
         let m = BlockManager::new(usize::MAX);
-        m.set_tenant_quota(1, 60);
+        m.set_tenant_quota(1, 64);
         ctx.scoped_tenant(2, || {
             m.put(9, 0, part(&[7, 7, 7]), StorageLevel::Memory);
         });
@@ -1102,7 +1181,7 @@ mod tests {
                 vec![Evicted {
                     dataset: 1,
                     partition: 0,
-                    bytes: 28,
+                    bytes: 32,
                     spilled: false
                 }]
             );
@@ -1113,10 +1192,10 @@ mod tests {
         );
         let status = m.status();
         let t1 = status.tenants.iter().find(|t| t.tenant == 1).unwrap();
-        assert_eq!((t1.memory_used, t1.quota), (56, Some(60)));
+        assert_eq!((t1.memory_used, t1.quota), (64, Some(64)));
         let t2 = status.tenants.iter().find(|t| t.tenant == 2).unwrap();
-        assert_eq!((t2.memory_used, t2.quota), (28, None));
-        assert_eq!(m.tenant_quota(1), Some(60));
+        assert_eq!((t2.memory_used, t2.quota), (32, None));
+        assert_eq!(m.tenant_quota(1), Some(64));
     }
 
     #[test]

@@ -212,8 +212,8 @@ impl<T: Data> IntoIterator for PartitionStream<T> {
 // ---------------------------------------------------------------------------
 
 /// Estimated wire bytes for `rows` records of `T` — the shallow estimate the
-/// `bytes_out` counters report (narrow operators can't assume a [`crate::SizeOf`]
-/// bound on arbitrary element types).
+/// `bytes_out` counters report (narrow operators can't assume a
+/// [`crate::SpillCodec`] bound on arbitrary element types).
 fn bytes_estimate<T>(rows: u64) -> u64 {
     rows * std::mem::size_of::<T>() as u64
 }

@@ -126,14 +126,47 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Framing over raw payload bytes.
 // ---------------------------------------------------------------------------
 
+/// The frame header for `payload`.
+fn header(payload: &[u8]) -> [u8; HEADER_LEN] {
+    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over cap");
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4] = VERSION;
+    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[9..13].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
+}
+
+/// Validate a frame header; return the payload length (at most `limit`)
+/// and the CRC the payload must match.
+fn check_header(header: &[u8; HEADER_LEN], limit: usize) -> Result<(usize, u32), WireError> {
+    if header[..4] != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    if header[4] != VERSION {
+        return Err(WireError::BadVersion(header[4]));
+    }
+    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
+    if len > limit.min(MAX_PAYLOAD) {
+        return Err(WireError::Oversized(len as u64));
+    }
+    let crc = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
+    Ok((len, crc))
+}
+
+/// Check a payload against the CRC its header carried.
+fn check_crc(payload: &[u8], expected: u32) -> Result<(), WireError> {
+    let actual = crc32(payload);
+    if actual != expected {
+        return Err(WireError::CrcMismatch { expected, actual });
+    }
+    Ok(())
+}
+
 /// Wrap already-encoded payload bytes in a frame.
 pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over cap");
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&header(payload));
     out.extend_from_slice(payload);
     out
 }
@@ -151,24 +184,12 @@ pub fn unframe_bytes(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
         }
         return Err(WireError::Truncated);
     }
-    if buf[..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[4] != VERSION {
-        return Err(WireError::BadVersion(buf[4]));
-    }
-    let len = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized(len as u64));
-    }
-    let expected = u32::from_le_bytes([buf[9], buf[10], buf[11], buf[12]]);
+    let head = buf[..HEADER_LEN].try_into().expect("length checked above");
+    let (len, crc) = check_header(head, MAX_PAYLOAD)?;
     let payload = buf
         .get(HEADER_LEN..HEADER_LEN + len)
         .ok_or(WireError::Truncated)?;
-    let actual = crc32(payload);
-    if actual != expected {
-        return Err(WireError::CrcMismatch { expected, actual });
-    }
+    check_crc(payload, crc)?;
     Ok((payload, HEADER_LEN + len))
 }
 
@@ -176,11 +197,15 @@ pub fn unframe_bytes(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
 // Typed frames over SpillCodec.
 // ---------------------------------------------------------------------------
 
-/// Encode a value as one self-contained frame.
+/// Encode a value as one self-contained frame, straight into a buffer
+/// pre-sized from [`SpillCodec::encoded_len`].
 pub fn encode_frame<T: SpillCodec>(value: &T) -> Vec<u8> {
-    let mut payload = Vec::new();
-    value.encode(&mut payload);
-    frame_bytes(&payload)
+    let mut out = Vec::with_capacity(HEADER_LEN + value.encoded_len());
+    out.resize(HEADER_LEN, 0);
+    value.encode(&mut out);
+    let head = header(&out[HEADER_LEN..]);
+    out[..HEADER_LEN].copy_from_slice(&head);
+    out
 }
 
 /// Decode one frame holding a `T`. The whole buffer must be exactly one
@@ -199,11 +224,10 @@ pub fn decode_frame<T: SpillCodec>(buf: &[u8]) -> Result<T, WireError> {
 }
 
 /// Total wire length (header + payload) a value would occupy — the number
-/// `explain_analyze` reports as true shuffle bytes.
+/// shuffle metrics and `explain_analyze` report as true shuffle bytes.
+/// Arithmetic only: nothing is serialized or allocated.
 pub fn encoded_len<T: SpillCodec>(value: &T) -> u64 {
-    let mut payload = Vec::new();
-    value.encode(&mut payload);
-    (HEADER_LEN + payload.len()) as u64
+    (HEADER_LEN + value.encoded_len()) as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -212,13 +236,7 @@ pub fn encoded_len<T: SpillCodec>(value: &T) -> u64 {
 
 /// Write one frame around `payload` to a stream.
 pub fn write_frame_bytes<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    assert!(payload.len() <= MAX_PAYLOAD, "frame payload over cap");
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[9..13].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
+    w.write_all(&header(payload))?;
     w.write_all(payload)?;
     Ok(())
 }
@@ -229,25 +247,12 @@ pub fn write_frame_bytes<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), Wire
 /// [`MAX_PAYLOAD`] for no extra restriction); a header advertising more is
 /// an [`WireError::Oversized`] without reading the body.
 pub fn read_frame_bytes<R: Read>(r: &mut R, limit: usize) -> Result<Vec<u8>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact_or_truncated(r, &mut header)?;
-    if header[..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if header[4] != VERSION {
-        return Err(WireError::BadVersion(header[4]));
-    }
-    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
-    if len > limit.min(MAX_PAYLOAD) {
-        return Err(WireError::Oversized(len as u64));
-    }
-    let expected = u32::from_le_bytes([header[9], header[10], header[11], header[12]]);
+    let mut head = [0u8; HEADER_LEN];
+    read_exact_or_truncated(r, &mut head)?;
+    let (len, crc) = check_header(&head, limit)?;
     let mut payload = vec![0u8; len];
     read_exact_or_truncated(r, &mut payload)?;
-    let actual = crc32(&payload);
-    if actual != expected {
-        return Err(WireError::CrcMismatch { expected, actual });
-    }
+    check_crc(&payload, crc)?;
     Ok(payload)
 }
 

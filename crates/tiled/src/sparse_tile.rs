@@ -9,7 +9,7 @@
 use crate::kernel;
 use crate::kernel::Backend;
 use crate::tile::DenseMatrix;
-use sparkline::{SizeOf, SpillCodec};
+use sparkline::SpillCodec;
 
 /// A sparse matrix tile in compressed-sparse-column format.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,13 +22,11 @@ pub struct CscTile {
     values: Vec<f64>,
 }
 
-impl SizeOf for CscTile {
-    fn size_of(&self) -> usize {
-        16 + 8 * self.col_ptr.len() + 8 * self.row_idx.len() + 8 * self.values.len()
-    }
-}
-
 impl SpillCodec for CscTile {
+    fn encoded_len(&self) -> usize {
+        40 + 8 * (self.col_ptr.len() + self.row_idx.len() + self.values.len())
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         self.rows.encode(out);
         self.cols.encode(out);
@@ -290,11 +288,27 @@ mod tests {
     }
 
     #[test]
-    fn size_of_smaller_than_dense_when_sparse() {
-        use sparkline::SizeOf;
+    fn encoded_len_matches_encode_for_tiles() {
+        fn encoded<T: SpillCodec>(v: &T) -> usize {
+            let mut buf = Vec::new();
+            v.encode(&mut buf);
+            buf.len()
+        }
+        for (rows, cols, seed) in [(0, 0, 1), (1, 3, 2), (7, 5, 3), (32, 32, 4)] {
+            let d = sparse_dense(rows, cols, seed);
+            assert_eq!(d.encoded_len(), encoded(&d));
+            let csc = CscTile::from_dense(&d);
+            assert_eq!(csc.encoded_len(), encoded(&csc));
+        }
+        let empty = CscTile::from_dense(&DenseMatrix::zeros(4, 4));
+        assert_eq!(empty.encoded_len(), encoded(&empty));
+    }
+
+    #[test]
+    fn encoded_len_smaller_than_dense_when_sparse() {
         let d = sparse_dense(32, 32, 5);
         let csc = CscTile::from_dense(&d);
-        assert!(csc.size_of() < d.size_of());
+        assert!(csc.encoded_len() < d.encoded_len());
         assert!(csc.density() < 0.3);
     }
 

@@ -13,7 +13,7 @@
 //! [`crate::kernel`]).
 
 use crate::kernel::{self, Backend};
-use sparkline::{SizeOf, SpillCodec};
+use sparkline::SpillCodec;
 
 /// A dense `rows x cols` matrix of `f64` stored row-major in one flat vector.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,13 +23,11 @@ pub struct DenseMatrix {
     data: Vec<f64>,
 }
 
-impl SizeOf for DenseMatrix {
-    fn size_of(&self) -> usize {
-        16 + 8 * self.data.len()
-    }
-}
-
 impl SpillCodec for DenseMatrix {
+    fn encoded_len(&self) -> usize {
+        24 + 8 * self.data.len()
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         self.rows.encode(out);
         self.cols.encode(out);
@@ -557,10 +555,9 @@ mod tests {
     }
 
     #[test]
-    fn size_of_counts_payload() {
+    fn encoded_len_counts_header_and_payload() {
         let m = DenseMatrix::zeros(10, 10);
-        use sparkline::SizeOf;
-        assert_eq!(m.size_of(), 16 + 800);
+        assert_eq!(m.encoded_len(), 24 + 800);
     }
 
     #[test]

@@ -181,23 +181,29 @@ fn wire_faults_are_retried_with_backoff_and_do_not_corrupt_results() {
     );
 }
 
-/// Tentpole observability claim: traced shuffle byte accounting is the TRUE
+/// Tentpole observability claim: shuffle byte accounting is the TRUE
 /// serialized wire length — identical whether the bytes crossed a process
-/// boundary (multi-process) or were only measured (local traced run), and
-/// reads account exactly the frames that were written.
+/// boundary (multi-process) or were only measured (local run, traced or
+/// not), and reads account exactly the frames that were written.
 #[test]
 fn traced_shuffle_bytes_are_true_wire_bytes_in_both_modes() {
     let data: Vec<(i64, i64)> = (0..300).map(|i| (i % 17, i)).collect();
-    let totals = |worker_processes: usize| {
+    let run = |worker_processes: usize, traced: bool| {
         let mut b = Context::builder().workers(4).executors(4).chaos_off();
         if worker_processes > 0 {
             b = b.worker_processes(worker_processes);
         }
         let ctx = b.build();
-        ctx.trace();
+        if traced {
+            ctx.trace();
+        }
         ctx.parallelize(data.clone(), 5)
             .reduce_by_key(3, |a, b| a + b)
             .collect();
+        ctx
+    };
+    let totals = |worker_processes: usize| {
+        let ctx = run(worker_processes, true);
         let mut written = HashMap::new();
         let mut read = 0u64;
         for e in ctx.take_events() {
@@ -215,11 +221,22 @@ fn traced_shuffle_bytes_are_true_wire_bytes_in_both_modes() {
                 _ => {}
             }
         }
-        (written.values().sum::<u64>(), read)
+        let written = written.values().sum::<u64>();
+        assert_eq!(
+            ctx.metrics().snapshot().shuffle_bytes,
+            written,
+            "metrics and trace report one byte count"
+        );
+        (written, read)
     };
     let (local_written, local_read) = totals(0);
     let (remote_written, remote_read) = totals(2);
+    let untraced_local = run(0, false).metrics().snapshot().shuffle_bytes;
     assert!(local_written > 0);
+    assert_eq!(
+        untraced_local, local_written,
+        "untraced local runs must record the same exact frame bytes"
+    );
     assert_eq!(
         local_written, remote_written,
         "local traced runs must account the same serialized frame bytes \

@@ -13,15 +13,23 @@
 //!   recursive interpreter keeps one live tile-sized scratch vector per
 //!   expression-tree level.
 //!
+//! A second panel times builder–sparsifier fusion: `x*2.0` over a nested
+//! `tiled(m,m)[ a+b | ... ]` builder at 256x256 against its flat twin
+//! `(a+b)*2.0`. The planner flattens the nested query into the same plan,
+//! so the two differ only in planning time.
+//!
 //! ```text
 //! cargo run --release -p bench --bin fusion            # writes BENCH_fusion.json
 //! cargo run --release -p bench --bin fusion -- out.json
 //! ```
 //!
 //! Exit is nonzero (failing CI) unless the fused and unfused results are
-//! bit-identical, fused peak allocation is >= 1.6x lower, and fused wall
-//! time is no worse (10% tolerance).
+//! bit-identical, fused peak allocation is >= 1.6x lower, fused wall time is
+//! no worse (10% tolerance), and the nested query compiles to its flat
+//! twin's plan, is bit-identical to it, and has a median per-pair wall ratio
+//! of at most 1.2x.
 
+use planner::plan::Plan;
 use sac::Session;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,6 +98,15 @@ const TILE: usize = 192;
 const ITERS: usize = 3;
 const DEPTH: usize = 24;
 
+/// Side, tile and interleaved repetitions of the nested-vs-flat panel.
+const NESTED_N: usize = 256;
+const NESTED_TILE: usize = 64;
+const NESTED_REPS: usize = 61;
+const NESTED_SRC: &str = "tiled(m,m)[ ((i,j), x*2.0) | ((i,j),x) <- tiled(m,m)[ ((i,j), a+b) | \
+     ((i,j),a) <- S, ((ii,jj),b) <- T, ii == i, jj == j ] ]";
+const FLAT_SRC: &str =
+    "tiled(m,m)[ ((i,j), (a+b)*2.0) | ((i,j),a) <- S, ((ii,jj),b) <- T, ii == i, jj == j ]";
+
 struct Row {
     name: String,
     wall_ms: f64,
@@ -154,6 +171,90 @@ fn measure(name: &str, s: &Session, src: &str) -> Row {
     }
 }
 
+/// The nested-vs-flat panel: whether the two compile to the same plan and
+/// give bit-identical results, their median compile and wall times, and the
+/// median over repetitions of the per-repetition nested/flat wall ratio.
+struct NestedPanel {
+    same_plan: bool,
+    same_bits: bool,
+    nested_compile_us: f64,
+    flat_compile_us: f64,
+    nested_ms: f64,
+    flat_ms: f64,
+    wall_ratio: f64,
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Compile and time the nested query and its flat twin in one session.
+/// Each repetition runs both back to back, alternating which goes first, so
+/// a pair sees the same machine state; the ratio is taken per pair before
+/// the median, which cancels load that drifts between repetitions.
+fn nested_vs_flat(workers: usize) -> NestedPanel {
+    let mut s = Session::builder().workers(workers).chaos_off().build();
+    s.register_local_matrix("S", &bench::dense_local(NESTED_N, 500), NESTED_TILE);
+    s.register_local_matrix("T", &bench::dense_local(NESTED_N, 600), NESTED_TILE);
+    s.set_int("m", NESTED_N as i64);
+    let plan_of = |src| {
+        let planned = s.compile(src).expect("panel must plan");
+        match planned.plan {
+            Plan::FusedEltwise {
+                inputs,
+                transposed,
+                program,
+                ..
+            } => Some((planned.output, inputs, transposed, program)),
+            _ => None,
+        }
+    };
+    let nested_plan = plan_of(NESTED_SRC);
+    let same_plan = nested_plan.is_some() && nested_plan == plan_of(FLAT_SRC);
+    let same_bits = fingerprint(&s, NESTED_SRC) == fingerprint(&s, FLAT_SRC);
+    let compile_us = |src| {
+        median(
+            (0..NESTED_REPS)
+                .map(|_| {
+                    let start = Instant::now();
+                    s.compile(src).expect("panel must plan");
+                    start.elapsed().as_secs_f64() * 1e6
+                })
+                .collect(),
+        )
+    };
+    let (nested_compile_us, flat_compile_us) = (compile_us(NESTED_SRC), compile_us(FLAT_SRC));
+    let mut times = [Vec::new(), Vec::new()];
+    for rep in 0..NESTED_REPS {
+        for k in [rep % 2, 1 - rep % 2] {
+            let start = Instant::now();
+            s.run([NESTED_SRC, FLAT_SRC][k])
+                .expect("panel must run")
+                .force();
+            times[k].push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let [nested, flat] = times;
+    let wall_ratio = median(nested.iter().zip(&flat).map(|(n, f)| n / f).collect());
+    let panel = NestedPanel {
+        same_plan,
+        same_bits,
+        nested_compile_us,
+        flat_compile_us,
+        nested_ms: median(nested),
+        flat_ms: median(flat),
+        wall_ratio,
+    };
+    for (name, ms, us) in [
+        ("nested_eltwise", panel.nested_ms, panel.nested_compile_us),
+        ("flat_eltwise", panel.flat_ms, panel.flat_compile_us),
+    ] {
+        println!("{name:>16}: {ms:>9.2} ms, compile {us:>6.1} us  (medians of {NESTED_REPS})");
+    }
+    panel
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
@@ -185,6 +286,12 @@ fn main() {
          fingerprint_match {fingerprint_match}"
     );
 
+    let nested = nested_vs_flat(workers);
+    println!(
+        "nested vs flat: {:.2}x wall (median per-pair ratio), same_plan {}, fingerprint_match {}",
+        nested.wall_ratio, nested.same_plan, nested.same_bits
+    );
+
     let rows = [fused, unfused];
     let mut json = String::from("{\"bench\":\"fusion\",\"results\":[");
     for (i, r) in rows.iter().enumerate() {
@@ -198,7 +305,17 @@ fn main() {
     }
     json.push_str(&format!(
         "],\"fused_vs_unfused\":{{\"peak_ratio\":{peak_ratio:.3},\"wall_ratio\":{wall_ratio:.3}}},\
-         \"fingerprint_match\":{fingerprint_match}}}\n"
+         \"fingerprint_match\":{fingerprint_match},\
+         \"nested_vs_flat\":{{\"nested_ms\":{:.3},\"flat_ms\":{:.3},\"wall_ratio\":{:.3},\
+         \"nested_compile_us\":{:.1},\"flat_compile_us\":{:.1},\
+         \"same_plan\":{},\"fingerprint_match\":{}}}}}\n",
+        nested.nested_ms,
+        nested.flat_ms,
+        nested.wall_ratio,
+        nested.nested_compile_us,
+        nested.flat_compile_us,
+        nested.same_plan,
+        nested.same_bits
     ));
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");
@@ -216,6 +333,22 @@ fn main() {
     }
     if wall_ratio > 1.10 {
         eprintln!("FAIL: fused panel slower than unfused ({wall_ratio:.2}x wall)");
+        std::process::exit(1);
+    }
+    // Builder–sparsifier fusion: the nested query must run as its flat twin.
+    if !nested.same_plan {
+        eprintln!("FAIL: nested query does not compile to its flat twin's plan");
+        std::process::exit(1);
+    }
+    if !nested.same_bits {
+        eprintln!("FAIL: nested query is not bit-identical to its flat twin");
+        std::process::exit(1);
+    }
+    if nested.wall_ratio > 1.2 {
+        eprintln!(
+            "FAIL: nested query {:.2}x the flat twin's wall (need <= 1.2x)",
+            nested.wall_ratio
+        );
         std::process::exit(1);
     }
 }

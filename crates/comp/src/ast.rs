@@ -190,6 +190,35 @@ pub enum Expr {
 }
 
 impl Expr {
+    /// True if `pred` holds for this expression or any expression nested
+    /// in it, qualifier expressions included.
+    pub fn any_subexpr(&self, pred: &mut dyn FnMut(&Expr) -> bool) -> bool {
+        if pred(self) {
+            return true;
+        }
+        match self {
+            Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => false,
+            Expr::Tuple(es) | Expr::Call(_, es) => es.iter().any(|e| e.any_subexpr(pred)),
+            Expr::Reduce(_, e) | Expr::UnOp(_, e) | Expr::Field(e, _) => e.any_subexpr(pred),
+            Expr::BinOp(_, a, b) | Expr::Range { lo: a, hi: b, .. } => {
+                a.any_subexpr(pred) || b.any_subexpr(pred)
+            }
+            Expr::Index(e, idx) => e.any_subexpr(pred) || idx.iter().any(|i| i.any_subexpr(pred)),
+            Expr::If(c, t, e) => c.any_subexpr(pred) || t.any_subexpr(pred) || e.any_subexpr(pred),
+            Expr::Build { args, body, .. } => {
+                args.iter().any(|a| a.any_subexpr(pred)) || body.any_subexpr(pred)
+            }
+            Expr::Comprehension(c) => {
+                c.qualifiers.iter().any(|q| match q {
+                    Qualifier::Generator(_, e) | Qualifier::Let(_, e) | Qualifier::Guard(e) => {
+                        e.any_subexpr(pred)
+                    }
+                    Qualifier::GroupBy(_, k) => k.as_ref().is_some_and(|k| k.any_subexpr(pred)),
+                }) || c.head.any_subexpr(pred)
+            }
+        }
+    }
+
     /// Free variables of the expression.
     pub fn free_vars(&self) -> std::collections::BTreeSet<String> {
         let mut out = std::collections::BTreeSet::new();

@@ -311,6 +311,15 @@ fn decode_keyed1(item: Value) -> Result<(i64, Value), CompError> {
 /// like the environment stack.
 type Row = Vec<(String, Value)>;
 
+/// Most variable bindings a generator may produce when it multiplies a row
+/// set, summed over the new rows. A binding costs about 100 bytes, so the
+/// cap keeps one such row set near 100 MiB. The generator checks it as it
+/// extends the rows, so a cross product that would exceed it fails with a
+/// typed error instead of being allocated. A generator run against a single
+/// row is exempt: it yields one row per element of a list already in
+/// memory, so a scan of one large array stays linear.
+pub const MAX_ROW_BINDINGS: usize = 1 << 20;
+
 /// Evaluate a comprehension to its list of head values.
 ///
 /// Qualifiers are processed left to right over an explicit *row set*
@@ -324,11 +333,20 @@ pub fn eval_comprehension(c: &Comprehension, env: &mut Env) -> Result<Vec<Value>
         match q {
             Qualifier::Generator(p, e) => {
                 let mut next = Vec::new();
+                let multiplies = rows.len() > 1;
+                let mut bindings = 0usize;
                 for row in rows {
                     let items = eval_in_row(e, env, &row)?.into_list()?;
                     for item in items {
                         let mut extended = row.clone();
                         bind_into_row(p, item, &mut extended)?;
+                        bindings += extended.len();
+                        if multiplies && bindings > MAX_ROW_BINDINGS {
+                            return Err(CompError::eval(format!(
+                                "comprehension row set exceeds the interpreter limit of \
+                                 {MAX_ROW_BINDINGS} bindings at generator `{p}`"
+                            )));
+                        }
                         next.push(extended);
                     }
                 }

@@ -12,6 +12,12 @@
 //! * **Rule (15)** — group-by elimination when the group-by key is provably
 //!   unique (the key pattern is exactly the key of a single association-list
 //!   generator): groups are singletons, so `⊕/v` collapses to `v`.
+//! * **Tuple-let splitting** — `let (p1,...,pn) = (e1,...,en)` becomes
+//!   `let p1 = e1, ..., let pn = en` when no `pk` binds a variable free in a
+//!   later `el`. Rule (3) leaves such lets behind when it inlines a
+//!   generator with a tuple pattern.
+//! * **Copy propagation** — `let v = w` over a plain variable is dropped and
+//!   later uses of `v` read `w`.
 //!
 //! Every rule is semantics-preserving; the property tests check each rewrite
 //! against the reference evaluator on random inputs.
@@ -37,6 +43,8 @@ fn normalize_once(expr: Expr) -> Expr {
     match expr {
         Expr::Comprehension(c) => {
             let c = flatten_nested(c);
+            let c = split_tuple_lets(c);
+            let c = propagate_copies(c);
             let c = lift_indexing(c);
             let c = fuse_ranges(c);
             let c = eliminate_injective_group_by(c);
@@ -48,7 +56,7 @@ fn normalize_once(expr: Expr) -> Expr {
 
 /// Apply `f` to each direct sub-expression (not descending into the
 /// comprehension rewrites themselves).
-fn map_subexprs(e: Expr, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
+pub fn map_subexprs(e: Expr, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
     match e {
         Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) => e,
         Expr::Tuple(es) => Expr::Tuple(es.into_iter().map(&mut *f).collect()),
@@ -114,6 +122,105 @@ fn flatten_nested(c: Comprehension) -> Comprehension {
         head: c.head,
         qualifiers: out,
     }
+}
+
+/// Tuple-let splitting: `let (p1,...,pn) = (e1,...,en)` becomes one `let`
+/// per component, recursively. A tuple let evaluates every component before
+/// binding any, so a split is only sound when no `pk` binds a variable free
+/// in a later `el`; otherwise the let stays whole.
+fn split_tuple_lets(c: Comprehension) -> Comprehension {
+    fn split(p: Pattern, e: Expr, out: &mut Vec<Qualifier>) {
+        match (p, e) {
+            (Pattern::Tuple(ps), Expr::Tuple(es))
+                if ps.len() == es.len() && components_independent(&ps, &es) =>
+            {
+                for (p, e) in ps.into_iter().zip(es) {
+                    split(p, e, out);
+                }
+            }
+            (p, e) => out.push(Qualifier::Let(p, e)),
+        }
+    }
+    let mut qualifiers = Vec::with_capacity(c.qualifiers.len());
+    for q in c.qualifiers {
+        match q {
+            Qualifier::Let(p, e) => split(p, e, &mut qualifiers),
+            other => qualifiers.push(other),
+        }
+    }
+    Comprehension {
+        head: c.head,
+        qualifiers,
+    }
+}
+
+/// True if no pattern binds a variable free in a later expression.
+fn components_independent(ps: &[Pattern], es: &[Expr]) -> bool {
+    let mut bound: Vec<String> = Vec::new();
+    for (p, e) in ps.iter().zip(es) {
+        if e.free_vars().iter().any(|v| bound.contains(v)) {
+            return false;
+        }
+        bound.extend(p.vars());
+    }
+    true
+}
+
+/// Copy propagation: drop each `let v = w` (a plain variable) and rename
+/// later uses of `v` to `w`. A copy stays when a later qualifier rebinds `v`
+/// or `w`, when a nested comprehension in the remainder binds either name
+/// (the renaming is not binder-aware), and when a group-by follows (it would
+/// lift `v` and `w` differently).
+fn propagate_copies(c: Comprehension) -> Comprehension {
+    let mut qualifiers = c.qualifiers;
+    let mut head = *c.head;
+    let mut pos = 0;
+    while pos < qualifiers.len() {
+        let Qualifier::Let(Pattern::Var(v), Expr::Var(w)) = &qualifiers[pos] else {
+            pos += 1;
+            continue;
+        };
+        let names = [v.as_str(), w.as_str()];
+        let blocked = qualifiers[pos + 1..].iter().any(|q| match q {
+            Qualifier::GroupBy(..) => true,
+            Qualifier::Generator(p, e) | Qualifier::Let(p, e) => {
+                p.vars().iter().any(|x| names.contains(&x.as_str())) || binds_any(e, &names)
+            }
+            Qualifier::Guard(e) => binds_any(e, &names),
+        }) || binds_any(&head, &names);
+        if blocked {
+            pos += 1;
+            continue;
+        }
+        let Qualifier::Let(Pattern::Var(v), Expr::Var(w)) = qualifiers.remove(pos) else {
+            unreachable!()
+        };
+        let mapping = [(v, w)];
+        let rest = qualifiers.split_off(pos).into_iter().map(|q| match q {
+            Qualifier::Generator(p, e) => Qualifier::Generator(p, rename_vars(e, &mapping)),
+            Qualifier::Let(p, e) => Qualifier::Let(p, rename_vars(e, &mapping)),
+            Qualifier::Guard(e) => Qualifier::Guard(rename_vars(e, &mapping)),
+            group_by => group_by,
+        });
+        qualifiers.extend(rest);
+        head = rename_vars(head, &mapping);
+    }
+    Comprehension {
+        head: Box::new(head),
+        qualifiers,
+    }
+}
+
+/// True if a comprehension inside `e` binds one of `names`.
+fn binds_any(e: &Expr, names: &[&str]) -> bool {
+    e.any_subexpr(&mut |x| {
+        matches!(x, Expr::Comprehension(c) if c.qualifiers.iter().any(|q| match q {
+            Qualifier::Generator(p, _) | Qualifier::Let(p, _) | Qualifier::GroupBy(p, _) => {
+                p.vars().iter().any(|v| names.contains(&v.as_str()))
+            }
+            Qualifier::Guard(_) => false,
+        }))
+    })
 }
 
 /// Rename every variable bound inside `c` to a fresh `%rN` name.
@@ -646,6 +753,52 @@ mod tests {
             .qualifiers
             .iter()
             .any(|q| matches!(q, Qualifier::GroupBy(_, _))));
+        assert_eq!(eval_with_m(&e), eval_with_m(&n));
+    }
+
+    #[test]
+    fn flattened_tuple_pattern_splits_into_variable_lets() {
+        // Rule (3) leaves `let ((i,j),x) = ((%r..,%r..), e)`; splitting and
+        // copy propagation leave one let for `x` and rename `i`, `j`.
+        let nested =
+            parse_expr("[ ((i,j), x*2) | ((i,j),x) <- [ ((i,j), v+1) | ((i,j),v) <- M ] ]")
+                .unwrap();
+        let flat = normalize(nested.clone());
+        let Expr::Comprehension(c) = &flat else {
+            panic!()
+        };
+        let lets: Vec<&Qualifier> = c
+            .qualifiers
+            .iter()
+            .filter(|q| matches!(q, Qualifier::Let(..)))
+            .collect();
+        assert!(
+            matches!(lets.as_slice(), [Qualifier::Let(Pattern::Var(x), _)] if x == "x"),
+            "{flat}"
+        );
+        assert_eq!(eval_with_m(&nested), eval_with_m(&flat));
+    }
+
+    #[test]
+    fn dependent_tuple_let_stays_whole() {
+        // A swap reads `x` after the split would have rebound it.
+        let e =
+            parse_expr("[ (x, y) | x <- 0 until 3, y <- 0 until 2, let (x, y) = (y, x) ]").unwrap();
+        let n = normalize(e.clone());
+        let Expr::Comprehension(c) = &n else { panic!() };
+        assert!(c
+            .qualifiers
+            .iter()
+            .any(|q| matches!(q, Qualifier::Let(Pattern::Tuple(_), _))));
+        let mut env = Env::new();
+        assert_eq!(eval(&e, &mut env).unwrap(), eval(&n, &mut env).unwrap());
+    }
+
+    #[test]
+    fn copy_is_not_propagated_across_a_group_by() {
+        // After `group by i`, `i` is the key but `k` is lifted to a list.
+        let e = parse_expr("[ (i, k) | ((i,j),v) <- M, let k = i, group by i ]").unwrap();
+        let n = normalize(e.clone());
         assert_eq!(eval_with_m(&e), eval_with_m(&n));
     }
 

@@ -4,7 +4,9 @@
 //! * desugaring (rules 4–7) preserves semantics for generated group-by-free
 //!   comprehensions;
 //! * normalization preserves semantics for generated comprehensions with
-//!   guards/lets over a fixed matrix environment.
+//!   guards/lets over a fixed matrix environment;
+//! * tuple-let splitting and copy propagation preserve semantics, including
+//!   patterns that rebind the generator variables.
 
 use comp::ast::{BinOp, Comprehension, Expr, Pattern, Qualifier};
 use comp::desugar::{desugar, eval_core};
@@ -96,6 +98,42 @@ fn arb_comprehension() -> impl Strategy<Value = Comprehension> {
         })
 }
 
+/// `[ (h, n1, n2, n3, c) | x <- 0 until n, y <- 0 until m,
+///    let ((n1, n2), n3) = ((e1, e2), e3), let c = n1 ]` with the pattern
+/// names drawn from `x`, `y`, `p`, `q`: rebinding `x` or `y` makes later
+/// components depend on earlier ones, which must block the split.
+fn arb_tuple_let_comprehension() -> impl Strategy<Value = Comprehension> {
+    const NAMES: [&str; 4] = ["x", "y", "p", "q"];
+    let name = || (0usize..4).prop_map(|k| NAMES[k]);
+    (
+        (1i64..5, 1i64..5),
+        (arb_scalar_expr(), arb_scalar_expr(), arb_scalar_expr()),
+        (name(), name(), name()),
+        arb_scalar_expr(),
+    )
+        .prop_map(|((n, m), (e1, e2, e3), (n1, n2, n3), head)| {
+            let range = |hi| Expr::Range {
+                lo: Box::new(Expr::Int(0)),
+                hi: Box::new(Expr::Int(hi)),
+                inclusive: false,
+            };
+            let var = |v: &str| Expr::Var(v.into());
+            let pvar = |v: &str| Pattern::Var(v.into());
+            Comprehension {
+                head: Box::new(Expr::Tuple(vec![head, var(n1), var(n2), var(n3), var("c")])),
+                qualifiers: vec![
+                    Qualifier::Generator(pvar("x"), range(n)),
+                    Qualifier::Generator(pvar("y"), range(m)),
+                    Qualifier::Let(
+                        Pattern::Tuple(vec![Pattern::Tuple(vec![pvar(n1), pvar(n2)]), pvar(n3)]),
+                        Expr::Tuple(vec![Expr::Tuple(vec![e1, e2]), e3]),
+                    ),
+                    Qualifier::Let(pvar("c"), var(n1)),
+                ],
+            }
+        })
+}
+
 /// Comparisons can yield booleans inside arithmetic; evaluation may fail on
 /// ill-typed combinations — both sides must then fail identically.
 fn eval_both(
@@ -133,6 +171,19 @@ proptest! {
 
     #[test]
     fn normalization_preserves_semantics(c in arb_comprehension()) {
+        let original = Expr::Comprehension(c);
+        let normalized = normalize(original.clone());
+        let a = comp::eval(&original, &mut Env::new());
+        let b = comp::eval(&normalized, &mut Env::new());
+        match (a, b) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+            (Err(_), Err(_)) => {}
+            (a, b) => prop_assert!(false, "divergence: original={a:?} normalized={b:?}"),
+        }
+    }
+
+    #[test]
+    fn tuple_let_splitting_preserves_semantics(c in arb_tuple_let_comprehension()) {
         let original = Expr::Comprehension(c);
         let normalized = normalize(original.clone());
         let a = comp::eval(&original, &mut Env::new());

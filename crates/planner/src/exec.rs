@@ -1,7 +1,10 @@
 //! Plan execution on the `sparkline` runtime.
 
 use crate::env::{DistArray, PlanEnv};
-use crate::plan::{GroupKey, MatMulStrategy, OutputKind, Plan, PlanConfig, Planned};
+use crate::plan::{
+    eltwise_matrices, eltwise_vectors, GroupKey, MatMulStrategy, OutputKind, Plan, PlanConfig,
+    Planned,
+};
 use crate::scalar::ScalarFn;
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
@@ -218,7 +221,7 @@ fn execute_untagged(
             exec_group_aggregate_vector(&planned.plan, env, ctx, config, *len)
                 .map(ExecResult::Vector)
         }
-        (Plan::LocalFallback { expr }, output) => exec_local(expr, env, ctx, config, output),
+        (Plan::LocalFallback { expr, .. }, output) => exec_local(expr, env, ctx, config, output),
         (plan, output) => Err(CompError::plan(format!(
             "plan {} cannot produce output {output:?}",
             plan.strategy_name()
@@ -260,30 +263,10 @@ fn join_eltwise_inputs(
     rows: i64,
     cols: i64,
 ) -> Result<EltwiseInputs, CompError> {
-    let mats: Vec<&TiledMatrix> = inputs
-        .iter()
-        .map(|n| matrix_input(env, n))
-        .collect::<Result<_, _>>()?;
+    let mats = eltwise_matrices(env, inputs, transposed, (rows, cols))?;
     let first = mats[0];
     let n = first.tile_size();
-    for m in &mats {
-        if !m.same_shape(first) {
-            return Err(CompError::plan(
-                "element-wise inputs must have identical dimensions and tiling",
-            ));
-        }
-    }
     let (in_rows, in_cols) = (first.rows(), first.cols());
-    let expected = if transposed {
-        (in_cols, in_rows)
-    } else {
-        (in_rows, in_cols)
-    };
-    if expected != (rows, cols) {
-        return Err(CompError::plan(format!(
-            "builder dimensions ({rows},{cols}) do not match input dimensions {expected:?}"
-        )));
-    }
     let grid = first.grid_partitioner(config.partitions);
     let mut joined: Dataset<(TileCoord, Vec<DenseMatrix>)> = first.tiles().map_values(|t| vec![t]);
     for m in &mats[1..] {
@@ -975,25 +958,9 @@ fn exec_vector_eltwise(
     else {
         unreachable!()
     };
-    let vecs: Vec<&TiledVector> = inputs
-        .iter()
-        .map(|name| vector_input(env, name))
-        .collect::<Result<_, _>>()?;
+    let vecs = eltwise_vectors(env, inputs, len)?;
     let first = vecs[0];
     let n = first.block_size();
-    for v in &vecs {
-        if v.len() != first.len() || v.block_size() != n {
-            return Err(CompError::plan(
-                "element-wise vector inputs must have identical length and blocking",
-            ));
-        }
-    }
-    if first.len() != len {
-        return Err(CompError::plan(format!(
-            "builder length {len} does not match input length {}",
-            first.len()
-        )));
-    }
     let mut joined: Dataset<(i64, Vec<Vec<f64>>)> =
         first.blocks().map(|(b, block)| (b, vec![block]));
     for v in &vecs[1..] {

@@ -1,6 +1,16 @@
 //! Plan selection — the paper's translation rules as pattern matches over
 //! the decomposed comprehension.
 //!
+//! Before dispatch, **builder–sparsifier fusion** (§3) drops the builder of
+//! every generator `((i,j),x) <- tiled(r,c)[ e | q ]` (or
+//! `(i,x) <- tiled_vector(n)[ e | q ]`) whose list is provably total, unique
+//! and in bounds: `q` ranges only over registered arrays of exactly the
+//! builder's shape, joined on every index, and `e`'s key is those indices.
+//! The dense builder then yields exactly the inner list, so rule (3) inlines
+//! `q` into the enclosing comprehension and a nested elementwise query plans
+//! as one region. A builder that fails any of these conditions stays, and
+//! the expression plans as it would without the rewrite.
+//!
 //! Dispatch order for `tiled(n,m)[ e | q ]`:
 //!
 //! 1. **Eltwise** (§5.1, rule 17) — every generator ranges over a tiled
@@ -34,7 +44,7 @@ use crate::env::{ArrayStats, DistArray, PlanEnv};
 use crate::scalar::{IdxFn, ScalarFn};
 use comp::ast::{Expr, Monoid, Pattern, Qualifier};
 use comp::errors::CompError;
-use comp::normalize::normalize;
+use comp::normalize::{map_subexprs, normalize};
 
 /// How to execute a contraction (matrix multiplication).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,7 +263,11 @@ pub enum Plan {
         guard: Option<ScalarFn>,
     },
     /// Reference interpreter over sparsified arrays.
-    LocalFallback { expr: Expr },
+    LocalFallback {
+        expr: Expr,
+        /// Why no distributed plan applied.
+        cause: CompError,
+    },
 }
 
 /// A plan plus its output shape.
@@ -332,13 +346,18 @@ impl Planned {
             OutputKind::Vector { len } => format!("vector {len}"),
             OutputKind::Local => "local value".to_string(),
         };
-        format!("{} -> {}", self.plan.strategy_name(), shape)
+        match &self.plan {
+            Plan::LocalFallback { cause, .. } => {
+                format!("localFallback ({}) -> {shape}", cause.message)
+            }
+            plan => format!("{} -> {shape}", plan.strategy_name()),
+        }
     }
 }
 
 /// Plan a (possibly unnormalized) comprehension expression.
 pub fn plan(expr: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Planned, CompError> {
-    let expr = normalize(expr.clone());
+    let expr = fuse_builders(expr, env).unwrap_or_else(|| normalize(expr.clone()));
     let planned = match &expr {
         Expr::Build {
             builder,
@@ -348,9 +367,9 @@ pub fn plan(expr: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Planned, 
             let rows = eval_int_arg(&args[0], env)?;
             let cols = eval_int_arg(&args[1], env)?;
             let output = OutputKind::Matrix { rows, cols };
-            match plan_matrix_body(body, env, config) {
+            match plan_matrix_body(body, env, config, (rows, cols)) {
                 Ok(plan) => Planned { plan, output },
-                Err(e) => fallback(&expr, output, env, config, e)?,
+                Err(e) => fallback(&expr, output, config, e)?,
             }
         }
         Expr::Build {
@@ -360,9 +379,9 @@ pub fn plan(expr: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Planned, 
         } if builder == "tiled_vector" && args.len() == 1 => {
             let len = eval_int_arg(&args[0], env)?;
             let output = OutputKind::Vector { len };
-            match plan_vector_body(body, env, config) {
+            match plan_vector_body(body, env, config, len) {
                 Ok(plan) => Planned { plan, output },
-                Err(e) => fallback(&expr, output, env, config, e)?,
+                Err(e) => fallback(&expr, output, config, e)?,
             }
         }
         other => {
@@ -370,7 +389,6 @@ pub fn plan(expr: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Planned, 
             fallback(
                 other,
                 output,
-                env,
                 config,
                 CompError::plan("not a tiled builder"),
             )?
@@ -382,7 +400,6 @@ pub fn plan(expr: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Planned, 
 fn fallback(
     expr: &Expr,
     output: OutputKind,
-    _env: &PlanEnv,
     config: &PlanConfig,
     cause: CompError,
 ) -> Result<Planned, CompError> {
@@ -393,9 +410,133 @@ fn fallback(
         )));
     }
     Ok(Planned {
-        plan: Plan::LocalFallback { expr: expr.clone() },
+        plan: Plan::LocalFallback {
+            expr: expr.clone(),
+            cause,
+        },
         output,
     })
+}
+
+/// Builder–sparsifier fusion: drop every builder whose list is provably
+/// total, unique and in bounds, then normalize so rule (3) inlines the inner
+/// comprehension. `None` when no builder qualifies.
+fn fuse_builders(expr: &Expr, env: &PlanEnv) -> Option<Expr> {
+    let mut fired = false;
+    let fused = drop_total_builders(expr.clone(), env, &mut fired);
+    fired.then(|| normalize(fused))
+}
+
+/// Bottom-up, so an inner builder is dropped before the builder around it
+/// is checked.
+fn drop_total_builders(e: Expr, env: &PlanEnv, fired: &mut bool) -> Expr {
+    let mut c = match map_subexprs(e, &mut |x| drop_total_builders(x, env, fired)) {
+        Expr::Comprehension(c) => c,
+        other => return other,
+    };
+    for q in &mut c.qualifiers {
+        if let Qualifier::Generator(p, src) = q {
+            if let Some(body) = total_builder_body(p, src, env) {
+                *src = body;
+                *fired = true;
+            }
+        }
+    }
+    Expr::Comprehension(c)
+}
+
+/// The body of `src`, normalized, when `p <- src` may read it instead of
+/// the builder: `src` is `tiled(r,c)[ e | q ]` with `p = ((i,j),x)`, or
+/// `tiled_vector(n)[ e | q ]` with `p = (i,x)`, and the list of `[ e | q ]`
+/// is total, unique and in bounds. Then the dense sparsifier yields exactly
+/// that list: zero-fill and the out-of-bounds drop never fire.
+fn total_builder_body(p: &Pattern, src: &Expr, env: &PlanEnv) -> Option<Expr> {
+    let Expr::Build {
+        builder,
+        args,
+        body,
+    } = src
+    else {
+        return None;
+    };
+    let body = normalize((**body).clone());
+    let Expr::Comprehension(inner) = &body else {
+        return None;
+    };
+    let d = decompose(&inner.head, &inner.qualifiers, &gen_kind(env)).ok()?;
+    if d.group_by.is_some() || !d.range_gens.is_empty() || !d.other_guards.is_empty() {
+        return None;
+    }
+    let head = inline_lets(&d.head, &d.lets);
+    let (key, _) = split_head(&head).ok()?;
+    let var = |p: &Pattern| matches!(p, Pattern::Var(_));
+    let total = match (builder.as_str(), args.as_slice(), p) {
+        ("tiled", [r, c], Pattern::Tuple(kx)) => {
+            matches!(kx.as_slice(), [Pattern::Tuple(ij), x]
+                if var(x) && ij.len() == 2 && ij.iter().all(var))
+                && total_matrix_list(
+                    &d,
+                    key,
+                    (eval_int_arg(r, env).ok()?, eval_int_arg(c, env).ok()?),
+                    env,
+                )
+        }
+        ("tiled_vector", [n], Pattern::Tuple(ix)) => {
+            ix.len() == 2
+                && ix.iter().all(var)
+                && total_vector_list(&d, key, eval_int_arg(n, env).ok()?, env)
+        }
+        _ => false,
+    };
+    total.then_some(body)
+}
+
+/// No variable is bound twice, by generators or lets, and every equality
+/// guard joins two index variables.
+fn binds_once_and_joins_indices(d: &Decomposed) -> bool {
+    let index: Vec<&String> = d
+        .matrix_gens
+        .iter()
+        .flat_map(|g| [&g.row, &g.col])
+        .chain(d.vector_gens.iter().map(|g| &g.idx))
+        .collect();
+    let bound: Vec<&String> = index
+        .iter()
+        .copied()
+        .chain(d.matrix_gens.iter().map(|g| &g.val))
+        .chain(d.vector_gens.iter().map(|g| &g.val))
+        .chain(d.lets.iter().map(|(n, _)| n))
+        .collect();
+    bound
+        .iter()
+        .enumerate()
+        .all(|(k, v)| !bound[..k].contains(v))
+        && d.var_equalities
+            .iter()
+            .all(|(x, y)| index.contains(&x) && index.contains(&y))
+}
+
+/// `d` lists every cell of an `r x c` matrix exactly once: registered
+/// matrices joined on both indices (rule 14), keyed by those indices
+/// (possibly swapped), each of the builder's shape.
+fn total_matrix_list(d: &Decomposed, key: &Expr, dims: (i64, i64), env: &PlanEnv) -> bool {
+    let inputs: Vec<String> = d.matrix_gens.iter().map(|g| g.name.clone()).collect();
+    !inputs.is_empty()
+        && d.vector_gens.is_empty()
+        && binds_once_and_joins_indices(d)
+        && eltwise_key(d, key)
+            .is_ok_and(|(_, transposed)| eltwise_matrices(env, &inputs, transposed, dims).is_ok())
+}
+
+/// `d` lists every index of a length-`n` vector exactly once: registered
+/// vectors joined on their index, keyed by it, each of length `n`.
+fn total_vector_list(d: &Decomposed, key: &Expr, n: i64, env: &PlanEnv) -> bool {
+    let inputs: Vec<String> = d.vector_gens.iter().map(|g| g.name.clone()).collect();
+    !inputs.is_empty()
+        && d.matrix_gens.is_empty()
+        && binds_once_and_joins_indices(d)
+        && vector_eltwise_key(d, key).is_ok()
+        && eltwise_vectors(env, &inputs, n).is_ok()
 }
 
 fn eval_int_arg(e: &Expr, env: &PlanEnv) -> Result<i64, CompError> {
@@ -433,7 +574,12 @@ fn gen_kind(env: &PlanEnv) -> impl Fn(&str) -> GenKind + '_ {
     }
 }
 
-fn plan_matrix_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Plan, CompError> {
+fn plan_matrix_body(
+    body: &Expr,
+    env: &PlanEnv,
+    config: &PlanConfig,
+    dims: (i64, i64),
+) -> Result<Plan, CompError> {
     let c = body_comprehension(body)?;
     let d = decompose(&c.head, &c.qualifiers, &gen_kind(env))?;
     if d.post_group_quals > 0 {
@@ -442,7 +588,7 @@ fn plan_matrix_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<P
         ));
     }
     if d.group_by.is_none() {
-        if let Ok(p) = plan_eltwise(&d, env, config) {
+        if let Ok(p) = plan_eltwise(&d, env, config, dims) {
             return Ok(p);
         }
         return plan_index_remap(&d, env);
@@ -453,7 +599,12 @@ fn plan_matrix_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<P
     plan_group_by_aggregate(&d, env, GroupShape::Matrix)
 }
 
-fn plan_vector_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<Plan, CompError> {
+fn plan_vector_body(
+    body: &Expr,
+    env: &PlanEnv,
+    config: &PlanConfig,
+    len: i64,
+) -> Result<Plan, CompError> {
     let c = body_comprehension(body)?;
     let d = decompose(&c.head, &c.qualifiers, &gen_kind(env))?;
     if d.post_group_quals > 0 {
@@ -467,14 +618,19 @@ fn plan_vector_body(body: &Expr, env: &PlanEnv, config: &PlanConfig) -> Result<P
     if let Ok(p) = plan_mat_vec(&d, env, config) {
         return Ok(p);
     }
-    if let Ok(p) = plan_vector_eltwise(&d, env) {
+    if let Ok(p) = plan_vector_eltwise(&d, env, len) {
         return Ok(p);
     }
     plan_group_by_aggregate(&d, env, GroupShape::Vector)
 }
 
 /// §5.1 rule 17 (plus the trace-and-fuse pass when the region qualifies).
-fn plan_eltwise(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Plan, CompError> {
+fn plan_eltwise(
+    d: &Decomposed,
+    env: &PlanEnv,
+    config: &PlanConfig,
+    dims: (i64, i64),
+) -> Result<Plan, CompError> {
     if d.matrix_gens.is_empty()
         || !d.vector_gens.is_empty()
         || !d.range_gens.is_empty()
@@ -482,17 +638,9 @@ fn plan_eltwise(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Pl
     {
         return Err(CompError::plan("not an element-wise comprehension"));
     }
-    let classes = VarClasses::from_equalities(&d.var_equalities);
-    let row_class = classes.find(&d.matrix_gens[0].row);
-    let col_class = classes.find(&d.matrix_gens[0].col);
-    if row_class == col_class {
-        return Err(CompError::plan("row and column indices equated (diagonal)"));
-    }
-    for g in &d.matrix_gens {
-        if classes.find(&g.row) != row_class || classes.find(&g.col) != col_class {
-            return Err(CompError::plan("generators are not joined on both indices"));
-        }
-    }
+    let head = inline_lets(&d.head, &d.lets);
+    let (key, value_expr) = split_head(&head)?;
+    let (classes, transposed) = eltwise_key(d, key)?;
     // Equalities between non-index (value) variables are filters, not join
     // keys — keep them as guards.
     let index_vars: Vec<&String> = d
@@ -510,21 +658,8 @@ fn plan_eltwise(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Pl
             ));
         }
     }
-    let head = inline_lets(&d.head, &d.lets);
-    let (key, value_expr) = split_head(&head)?;
-    let Expr::Tuple(kij) = key else {
-        return Err(CompError::plan("matrix head key must be (i, j)"));
-    };
-    let [Expr::Var(ka), Expr::Var(kb)] = kij.as_slice() else {
-        return Err(CompError::plan("matrix head key must be index variables"));
-    };
-    let transposed = if classes.find(ka) == row_class && classes.find(kb) == col_class {
-        false
-    } else if classes.find(ka) == col_class && classes.find(kb) == row_class {
-        true
-    } else {
-        return Err(CompError::plan("head key is not the generator indices"));
-    };
+    let inputs: Vec<String> = d.matrix_gens.iter().map(|g| g.name.clone()).collect();
+    eltwise_matrices(env, &inputs, transposed, dims)?;
 
     // Slots: all value vars (and their equality aliases resolve to the same
     // slot via class representatives), then row, then col.
@@ -550,7 +685,6 @@ fn plan_eltwise(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Pl
         .as_ref()
         .map(|c| ScalarFn::compile(c, &slots, &consts))
         .transpose()?;
-    let inputs: Vec<String> = d.matrix_gens.iter().map(|g| g.name.clone()).collect();
     if config.fuse_eltwise {
         if let Some(program) = crate::fuse::fuse_region(inputs.len(), &value, guard.as_ref()) {
             // Source op tags (post-order over the canonicalized head value,
@@ -578,6 +712,76 @@ fn plan_eltwise(d: &Decomposed, env: &PlanEnv, config: &PlanConfig) -> Result<Pl
         value,
         guard,
     })
+}
+
+/// Rule 14 over an elementwise matrix body: every generator is joined on
+/// both indices (not a diagonal) and the head key is those indices,
+/// possibly swapped. Returns the index classes and whether the key is
+/// swapped (a transpose).
+fn eltwise_key(d: &Decomposed, key: &Expr) -> Result<(VarClasses, bool), CompError> {
+    let classes = VarClasses::from_equalities(&d.var_equalities);
+    let row_class = classes.find(&d.matrix_gens[0].row);
+    let col_class = classes.find(&d.matrix_gens[0].col);
+    if row_class == col_class {
+        return Err(CompError::plan("row and column indices equated (diagonal)"));
+    }
+    for g in &d.matrix_gens {
+        if classes.find(&g.row) != row_class || classes.find(&g.col) != col_class {
+            return Err(CompError::plan("generators are not joined on both indices"));
+        }
+    }
+    let Expr::Tuple(kij) = key else {
+        return Err(CompError::plan("matrix head key must be (i, j)"));
+    };
+    let [Expr::Var(ka), Expr::Var(kb)] = kij.as_slice() else {
+        return Err(CompError::plan("matrix head key must be index variables"));
+    };
+    let transposed = if classes.find(ka) == row_class && classes.find(kb) == col_class {
+        false
+    } else if classes.find(ka) == col_class && classes.find(kb) == row_class {
+        true
+    } else {
+        return Err(CompError::plan("head key is not the generator indices"));
+    };
+    Ok((classes, transposed))
+}
+
+/// The registered matrices of an elementwise region. They must share
+/// dimensions and tiling, and their shape (transposed if the head swaps the
+/// indices) must be the builder's `(rows, cols)`. The planner checks this
+/// before it picks an elementwise plan, so a mismatch falls back; the
+/// executor checks it again against the arrays bound when the plan runs.
+pub(crate) fn eltwise_matrices<'a>(
+    env: &'a PlanEnv,
+    inputs: &[String],
+    transposed: bool,
+    (rows, cols): (i64, i64),
+) -> Result<Vec<&'a tiled::TiledMatrix>, CompError> {
+    let mats: Vec<&tiled::TiledMatrix> = inputs
+        .iter()
+        .map(|n| {
+            env.array(n)
+                .and_then(DistArray::as_matrix)
+                .ok_or_else(|| CompError::plan(format!("`{n}` is not a registered tiled matrix")))
+        })
+        .collect::<Result<_, _>>()?;
+    let first = mats[0];
+    if mats.iter().any(|m| !m.same_shape(first)) {
+        return Err(CompError::plan(
+            "element-wise inputs must have identical dimensions and tiling",
+        ));
+    }
+    let expected = if transposed {
+        (first.cols(), first.rows())
+    } else {
+        (first.rows(), first.cols())
+    };
+    if expected != (rows, cols) {
+        return Err(CompError::plan(format!(
+            "builder dimensions ({rows},{cols}) do not match input dimensions {expected:?}"
+        )));
+    }
+    Ok(mats)
 }
 
 /// Rewrite each index variable to its class representative (the first
@@ -1027,7 +1231,7 @@ fn choose_mat_vec_path(
 }
 
 /// Element-wise over vectors joined on their index.
-fn plan_vector_eltwise(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError> {
+fn plan_vector_eltwise(d: &Decomposed, env: &PlanEnv, len: i64) -> Result<Plan, CompError> {
     if d.vector_gens.is_empty()
         || !d.matrix_gens.is_empty()
         || !d.range_gens.is_empty()
@@ -1035,23 +1239,11 @@ fn plan_vector_eltwise(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError>
     {
         return Err(CompError::plan("not a vector element-wise comprehension"));
     }
-    let classes = VarClasses::from_equalities(&d.var_equalities);
-    let idx_class = classes.find(&d.vector_gens[0].idx);
-    for g in &d.vector_gens {
-        if classes.find(&g.idx) != idx_class {
-            return Err(CompError::plan("vector generators are not joined on index"));
-        }
-    }
     let head = inline_lets(&d.head, &d.lets);
     let (key, value) = split_head(&head)?;
-    let Expr::Var(k) = key else {
-        return Err(CompError::plan(
-            "vector head key must be the index variable",
-        ));
-    };
-    if classes.find(k) != idx_class {
-        return Err(CompError::plan("head key is not the generator index"));
-    }
+    vector_eltwise_key(d, key)?;
+    let inputs: Vec<String> = d.vector_gens.iter().map(|g| g.name.clone()).collect();
+    eltwise_vectors(env, &inputs, len)?;
     // Canonicalize index aliases to the first generator's name.
     let canon_idx = d.vector_gens[0].idx.clone();
     let canon = |e: &Expr| {
@@ -1076,10 +1268,65 @@ fn plan_vector_eltwise(d: &Decomposed, env: &PlanEnv) -> Result<Plan, CompError>
         }
     };
     Ok(Plan::VectorEltwise {
-        inputs: d.vector_gens.iter().map(|g| g.name.clone()).collect(),
+        inputs,
         value,
         guard,
     })
+}
+
+/// Rule 14 over an elementwise vector body: every generator is joined on
+/// its index and the head key is that index.
+fn vector_eltwise_key(d: &Decomposed, key: &Expr) -> Result<(), CompError> {
+    let classes = VarClasses::from_equalities(&d.var_equalities);
+    let idx_class = classes.find(&d.vector_gens[0].idx);
+    for g in &d.vector_gens {
+        if classes.find(&g.idx) != idx_class {
+            return Err(CompError::plan("vector generators are not joined on index"));
+        }
+    }
+    let Expr::Var(k) = key else {
+        return Err(CompError::plan(
+            "vector head key must be the index variable",
+        ));
+    };
+    if classes.find(k) != idx_class {
+        return Err(CompError::plan("head key is not the generator index"));
+    }
+    Ok(())
+}
+
+/// The registered vectors of an elementwise vector region. They must share
+/// length and blocking, and the length must be the builder's; checked by
+/// the planner and the executor like [`eltwise_matrices`].
+pub(crate) fn eltwise_vectors<'a>(
+    env: &'a PlanEnv,
+    inputs: &[String],
+    len: i64,
+) -> Result<Vec<&'a tiled::TiledVector>, CompError> {
+    let vecs: Vec<&tiled::TiledVector> = inputs
+        .iter()
+        .map(|n| {
+            env.array(n)
+                .and_then(DistArray::as_vector)
+                .ok_or_else(|| CompError::plan(format!("`{n}` is not a registered tiled vector")))
+        })
+        .collect::<Result<_, _>>()?;
+    let first = vecs[0];
+    if vecs
+        .iter()
+        .any(|v| v.len() != first.len() || v.block_size() != first.block_size())
+    {
+        return Err(CompError::plan(
+            "element-wise vector inputs must have identical length and blocking",
+        ));
+    }
+    if first.len() != len {
+        return Err(CompError::plan(format!(
+            "builder length {len} does not match input length {}",
+            first.len()
+        )));
+    }
+    Ok(vecs)
 }
 
 enum GroupShape {

@@ -1171,6 +1171,62 @@ mod tests {
     }
 
     #[test]
+    fn rebinding_a_fused_nested_query_input_to_another_shape_replans() {
+        let svc = small_service();
+        svc.register_shared_int("m", 8);
+        let int_matrix = |n: usize, seed: usize| {
+            LocalMatrix::from_fn(n, n, |i, j| ((i * 7 + j * 3 + seed) % 9) as f64 - 4.0)
+        };
+        let fingerprint = |m: &LocalMatrix| {
+            fnv1a(
+                [m.rows as u64, m.cols as u64]
+                    .into_iter()
+                    .chain(m.data().iter().map(|x| x.to_bits())),
+            )
+        };
+        let plans = |svc: &QueryService| {
+            let mut plans: Vec<String> = svc
+                .lock()
+                .plan_cache
+                .values()
+                .map(|p| p.explain())
+                .collect();
+            plans.sort();
+            plans
+        };
+        let t = int_matrix(8, 1);
+        let s8 = int_matrix(8, 2);
+        svc.register_matrix_for("alice", "T", &t, 4).unwrap();
+        svc.register_matrix_for("alice", "S", &s8, 4).unwrap();
+        let q = "tiled(m,m)[ ((i,j), x*2.0) | ((i,j),x) <- tiled(m,m)[ ((i,j), a+b) | \
+                 ((i,j),a) <- S, ((ii,jj),b) <- T, ii == i, jj == j ] ]";
+        let r1 = svc.run("alice", q).unwrap();
+        assert!(!r1.cache_hit);
+        assert_eq!(r1.fingerprint, fingerprint(&s8.add(&t).scale(2.0)));
+        assert!(svc.run("alice", q).unwrap().cache_hit);
+        assert_eq!(plans(&svc), ["eltwise/fused -> matrix 8x8"]);
+
+        // `S` rebound to 6x6: the inner builder now zero-fills, so the
+        // fused plan must not be reused; the re-plan falls back.
+        let s6 = int_matrix(6, 3);
+        svc.register_matrix_for("alice", "S", &s6, 4).unwrap();
+        let r3 = svc.run("alice", q).unwrap();
+        assert!(!r3.cache_hit, "a rebound input must re-plan");
+        let plans = plans(&svc);
+        assert_eq!(plans.len(), 2);
+        assert_eq!(plans[0], "eltwise/fused -> matrix 8x8");
+        assert!(plans[1].starts_with("localFallback ("), "{plans:?}");
+        let want = LocalMatrix::from_fn(8, 8, |i, j| {
+            if i < 6 && j < 6 {
+                (s6.get(i, j) + t.get(i, j)) * 2.0
+            } else {
+                0.0
+            }
+        });
+        assert_eq!(r3.fingerprint, fingerprint(&want));
+    }
+
+    #[test]
     fn service_handles_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<QueryService>();

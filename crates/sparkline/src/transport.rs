@@ -491,7 +491,12 @@ impl Drop for WorkerGroup {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.heartbeat.lock().take() {
-            handle.join().ok();
+            // When a sweep holds the last strong reference, this drop runs on
+            // the heartbeat thread itself, which exits right after; joining
+            // it would be a self-join.
+            if handle.thread().id() != std::thread::current().id() {
+                handle.join().ok();
+            }
         }
         for slot in &self.slots {
             let mut slot = slot.lock();

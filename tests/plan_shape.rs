@@ -692,3 +692,207 @@ fn runtime_probe_switches_mis_estimated_join_to_broadcast() {
     let oracle = frozen.matrix(MUL_SRC).unwrap().to_local();
     assert_eq!(got, oracle, "adaptive switch changed the result bits");
 }
+
+/// `x*2.0` over a nested elementwise `a+b` builder, and its flat twin.
+const NESTED_SRC: &str = "tiled(m,m)[ ((i,j), x*2.0) | ((i,j),x) <- tiled(m,m)[ ((i,j), a+b) | \
+     ((i,j),a) <- S, ((ii,jj),b) <- T, ii == i, jj == j ] ]";
+const FLAT_SRC: &str =
+    "tiled(m,m)[ ((i,j), (a+b)*2.0) | ((i,j),a) <- S, ((ii,jj),b) <- T, ii == i, jj == j ]";
+
+/// A session with `S` and `T` (`side x side`, random) and `m = side`.
+fn nested_session(side: usize, tile: usize) -> (Session, LocalMatrix, LocalMatrix) {
+    use rand::{rngs::StdRng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(side as u64);
+    let sm = LocalMatrix::random(side, side, -2.0, 2.0, &mut rng);
+    let tm = LocalMatrix::random(side, side, -2.0, 2.0, &mut rng);
+    let mut s = Session::builder().workers(2).partitions(2).build();
+    s.register_local_matrix("S", &sm, tile);
+    s.register_local_matrix("T", &tm, tile);
+    s.set_int("m", side as i64);
+    (s, sm, tm)
+}
+
+fn bits(m: &LocalMatrix) -> Vec<u64> {
+    m.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The reference interpreter run directly on `src`, with `S`/`T` bound as
+/// dense association lists and `m` as an integer.
+fn comp_eval_matrix(src: &str, sm: &LocalMatrix, tm: &LocalMatrix, m: i64) -> LocalMatrix {
+    use sac_repro::comp::{eval, parse_expr, Env, Value};
+    let assoc = |x: &LocalMatrix| {
+        Value::List(
+            x.to_triplets()
+                .into_iter()
+                .map(|((i, j), v)| {
+                    Value::pair(Value::pair(Value::Int(i), Value::Int(j)), Value::Float(v))
+                })
+                .collect(),
+        )
+    };
+    let mut env = Env::new();
+    env.bind("S", assoc(sm));
+    env.bind("T", assoc(tm));
+    env.bind("m", Value::Int(m));
+    let out = eval(&parse_expr(src).unwrap(), &mut env).unwrap();
+    let triplets: Vec<((i64, i64), f64)> = out
+        .into_list()
+        .unwrap()
+        .into_iter()
+        .map(|cell| {
+            let Value::Tuple(kv) = cell else { panic!() };
+            let Value::Tuple(ij) = &kv[0] else { panic!() };
+            (
+                (ij[0].as_i64().unwrap(), ij[1].as_i64().unwrap()),
+                kv[1].as_f64().unwrap(),
+            )
+        })
+        .collect();
+    LocalMatrix::from_triplets(m as usize, m as usize, &triplets)
+}
+
+#[test]
+fn nested_eltwise_fuses_into_one_region_bit_identical_to_flat() {
+    for (side, tile) in [(8, 4), (16, 5), (256, 64)] {
+        let (mut s, _, _) = nested_session(side, tile);
+        let plan = s.explain(NESTED_SRC).unwrap();
+        assert_eq!(plan, format!("eltwise/fused -> matrix {side}x{side}"));
+        let nested = s.matrix(NESTED_SRC).unwrap().to_local();
+        let flat = s.matrix(FLAT_SRC).unwrap().to_local();
+        assert_eq!(bits(&nested), bits(&flat), "{side}²: nested != flat");
+        // Without fusion the rewritten query still runs distributed, on the
+        // per-op interpreter.
+        s.config_mut().fuse_eltwise = false;
+        assert_eq!(
+            s.explain(NESTED_SRC).unwrap(),
+            format!("eltwise -> matrix {side}x{side}")
+        );
+        let unfused = s.matrix(NESTED_SRC).unwrap().to_local();
+        assert_eq!(bits(&unfused), bits(&flat), "{side}²: unfused != flat");
+    }
+}
+
+#[test]
+fn nested_vector_eltwise_flattens_into_one_plan() {
+    use sac_repro::tiled::TiledVector;
+    let mut s = Session::builder().workers(2).partitions(2).build();
+    let u: Vec<f64> = (0..10).map(|i| i as f64 * 0.5 - 2.0).collect();
+    let v: Vec<f64> = (0..10).map(|i| 3.0 - i as f64 * 0.25).collect();
+    let (tu, tv) = (
+        TiledVector::from_local(s.spark(), &u, 4, 2),
+        TiledVector::from_local(s.spark(), &v, 4, 2),
+    );
+    s.register_vector("U", tu);
+    s.register_vector("V", tv);
+    s.set_int("n", 10);
+    let nested = "tiled_vector(n)[ (i, x*2.0) | (i,x) <- tiled_vector(n)[ (i, a+b) | \
+                  (i,a) <- U, (ii,b) <- V, ii == i ] ]";
+    let flat = "tiled_vector(n)[ (i, (a+b)*2.0) | (i,a) <- U, (ii,b) <- V, ii == i ]";
+    assert_eq!(s.explain(nested).unwrap(), "vectorEltwise -> vector 10");
+    let got: Vec<u64> = s
+        .vector(nested)
+        .unwrap()
+        .to_local()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect();
+    let want: Vec<u64> = s
+        .vector(flat)
+        .unwrap()
+        .to_local()
+        .iter()
+        .map(|x| x.to_bits())
+        .collect();
+    assert_eq!(got, want);
+    // A shorter inner builder drops indices: it must not flatten.
+    let cut = "tiled_vector(n)[ (i, x*2.0) | (i,x) <- tiled_vector(n-3)[ (i, a+b) | \
+               (i,a) <- U, (ii,b) <- V, ii == i ] ]";
+    assert!(s.explain(cut).unwrap().starts_with("localFallback"));
+    let cut_vals = s.vector(cut).unwrap().to_local();
+    assert_eq!(&cut_vals[7..], &[0.0; 3]);
+}
+
+#[test]
+fn nested_eltwise_traces_one_fused_region_and_no_shuffle() {
+    let (s, _, _) = nested_session(8, 4);
+    let analysis = s.explain_analyze(NESTED_SRC).unwrap();
+    assert_eq!(analysis.profile.fused_regions.len(), 1);
+    assert_eq!(analysis.profile.fused_regions[0].inputs, 2);
+    assert_eq!(shuffle_stages(&analysis.profile), 0);
+}
+
+#[test]
+fn explain_names_the_fallback_cause() {
+    let (s, _, _) = nested_session(8, 4);
+    // A diagonal join is not elementwise, so nothing distributes it.
+    let src = "tiled(m,m)[ ((i,j), a+b) | ((i,j),a) <- S, ((ii,jj),b) <- T, i == j, \
+               ii == i, jj == j ]";
+    let plan = s.explain(src).unwrap();
+    assert!(
+        plan.starts_with("localFallback (") && plan.ends_with(") -> matrix 8x8"),
+        "{plan}"
+    );
+    assert_eq!(
+        s.compile(src).unwrap().plan.strategy_name(),
+        "localFallback"
+    );
+}
+
+#[test]
+fn nested_builders_that_are_not_total_still_fall_back() {
+    let join = "((i,j),a) <- S, ((ii,jj),b) <- T, ii == i, jj == j";
+    let cases = [
+        // A value guard drops cells, which the builder zero-fills.
+        format!("tiled(m,m)[ ((i,j), x*2.0) | ((i,j),x) <- tiled(m,m)[ ((i,j), a+b) | {join}, a > 0.0 ] ]"),
+        // Builder smaller than the inputs: the out-of-bounds drop fires.
+        format!("tiled(m,m)[ ((i,j), x*2.0) | ((i,j),x) <- tiled(m-2,m-2)[ ((i,j), a+b) | {join} ] ]"),
+        // Builder larger than the inputs: zero-fill fires.
+        format!("tiled(m,m)[ ((i,j), x*2.0) | ((i,j),x) <- tiled(m+2,m+2)[ ((i,j), a+b) | {join} ] ]"),
+        // A grouping inner (matrix multiplication) is a plan, not a list.
+        "tiled(m,m)[ ((i,j), x*2.0) | ((i,j),x) <- tiled(m,m)[ ((i,j), +/v) | \
+         ((i,k),a) <- S, ((kk,j),b) <- T, kk == k, let v = a*b, group by (i,j) ] ]"
+            .to_string(),
+    ];
+    let (s, sm, tm) = nested_session(8, 3);
+    for src in &cases {
+        let plan = s.explain(src).unwrap();
+        assert!(plan.starts_with("localFallback"), "{src}: {plan}");
+        let got = s.matrix(src).unwrap().to_local();
+        let want = comp_eval_matrix(src, &sm, &tm, 8);
+        assert_eq!(bits(&got), bits(&want), "{src}");
+    }
+}
+
+#[test]
+fn a_diagonal_over_a_large_join_fails_fast_instead_of_exhausting_memory() {
+    // The cross product of two 128² generators is 2²⁸ rows; the bounded
+    // interpreter refuses it with a typed error long before that.
+    let (s, _, _) = nested_session(128, 32);
+    let src = "tiled(m,m)[ ((i,j), a+b) | ((i,j),a) <- S, ((ii,jj),b) <- T, i == j, \
+               ii == i, jj == j ]";
+    assert!(s.explain(src).unwrap().starts_with("localFallback"));
+    let start = std::time::Instant::now();
+    let err = s
+        .run(src)
+        .err()
+        .expect("the fallback must refuse the row set");
+    assert_eq!(err.phase, sac_repro::comp::errors::Phase::Eval);
+    assert!(err.message.contains("interpreter limit"), "{err}");
+    assert!(start.elapsed() < std::time::Duration::from_secs(30));
+}
+
+#[test]
+fn a_single_generator_scan_past_the_row_cap_still_runs() {
+    // One generator run against the initial row yields one row per matrix
+    // entry, so it only scans a list already in memory: the trace of a 640²
+    // matrix binds 3·640² > MAX_ROW_BINDINGS variables and still evaluates.
+    let side = 640;
+    assert!(3 * side * side > sac_repro::comp::eval::MAX_ROW_BINDINGS);
+    let m = LocalMatrix::from_fn(side, side, |i, j| ((i * 7 + j) % 5) as f64);
+    let mut s = Session::builder().workers(2).partitions(2).build();
+    s.register_local_matrix("A", &m, 128);
+    let src = "+/[ v | ((i,j),v) <- A, i == j ]";
+    assert!(s.explain(src).unwrap().starts_with("localFallback"));
+    let want: f64 = (0..side).map(|i| m.get(i, i)).sum();
+    assert_eq!(s.value(src).unwrap(), sac_repro::comp::Value::Float(want));
+}

@@ -36,8 +36,60 @@ fn int_mat(r: usize, c: usize, seed: u64, sparse: bool) -> LocalMatrix {
     })
 }
 
+/// Inner elementwise ops over `a`, `b` and outer ops over `x` for the
+/// builder–sparsifier fusion property.
+const INNER_OPS: [&str; 4] = ["a+b", "a-b*0.5", "a*b", "abs(a)-b"];
+const OUTER_OPS: [&str; 4] = ["x*2.0", "x+1.5", "x*x", "-x-0.25"];
+
+/// A nested elementwise query over `S`, `T` (both `r x c`) and its flat
+/// twin. `inner_t` transposes the inner builder's key, `outer_t` the
+/// outer's; the flat twin is transposed when exactly one of them is.
+fn nested_and_flat(inner: &str, outer: &str, inner_t: bool, outer_t: bool) -> (String, String) {
+    let dims = |t: bool| if t { "c,r" } else { "r,c" };
+    let join = "((i,j),a) <- S, ((ii,jj),b) <- T, ii == i, jj == j";
+    let (ik, ok) = (
+        if inner_t { "(j,i)" } else { "(i,j)" },
+        if outer_t { "(q,p)" } else { "(p,q)" },
+    );
+    let nested = format!(
+        "tiled({})[ ({ok}, {outer}) | ((p,q),x) <- tiled({})[ ({ik}, {inner}) | {join} ] ]",
+        dims(inner_t != outer_t),
+        dims(inner_t),
+    );
+    let flat_key = if inner_t != outer_t { "(j,i)" } else { "(i,j)" };
+    let flat = format!(
+        "tiled({})[ ({flat_key}, {}) | {join} ]",
+        dims(inner_t != outer_t),
+        outer.replace('x', &format!("({inner})")),
+    );
+    (nested, flat)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Builder–sparsifier fusion: a nested elementwise query plans as one
+    /// fused region and is bitwise equal to its flat twin, for any shape,
+    /// tile sizes that do and do not divide it, and transposed builders.
+    #[test]
+    fn nested_eltwise_fuses_bit_identical_to_flat(
+        r in 1usize..12, c in 1usize..12, tile in 1usize..6, seed in 0u64..500,
+        inner in 0usize..4, outer in 0usize..4,
+        inner_t in proptest::bool::ANY, outer_t in proptest::bool::ANY,
+    ) {
+        let mut s = session(MatMulStrategy::Auto);
+        s.register_local_matrix("S", &rand_mat(r, c, seed), tile);
+        s.register_local_matrix("T", &rand_mat(r, c, seed + 3000), tile);
+        s.set_int("r", r as i64);
+        s.set_int("c", c as i64);
+        let (nested, flat) = nested_and_flat(INNER_OPS[inner], OUTER_OPS[outer], inner_t, outer_t);
+        let plan = s.compile(&nested).unwrap();
+        prop_assert_eq!(plan.plan.strategy_name(), "eltwise/fused", "{}", nested);
+        let bits = |src: &str| -> Vec<u64> {
+            s.matrix(src).unwrap().to_local().data().iter().map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&nested), bits(&flat), "{} vs {}", nested, flat);
+    }
 
     /// `build ∘ sparsify = id` for arbitrary shapes and tile sizes (§1.1's
     /// inverse-pair requirement).

@@ -588,10 +588,10 @@ fn reducible_uses_only(e: &Expr, lifted: &[String]) -> bool {
 /// groups.
 fn collapse_singleton_aggregates(e: Expr, lifted: &[String]) -> Expr {
     match e {
-        Expr::Reduce(_, inner) => match *inner {
+        Expr::Reduce(monoid, inner) => match *inner {
             Expr::Var(v) if lifted.contains(&v) => Expr::Var(v),
             other => Expr::Reduce(
-                Monoid::Sum,
+                monoid,
                 Box::new(collapse_singleton_aggregates(other, lifted)),
             ),
         },
@@ -725,6 +725,25 @@ mod tests {
             "injective group-by must be removed: {c:?}"
         );
         assert_eq!(eval_with_m(&e), eval_with_m(&n));
+    }
+
+    #[test]
+    fn eliminated_group_by_keeps_a_nested_reductions_monoid() {
+        // Rule (15) collapses `⊕/v` of a lifted `v`; a reduction over
+        // anything else must keep its own monoid, not become `+/`.
+        let e =
+            parse_expr("[ ((i,j), max/[ x | ((a,b),x) <- N ]) | ((i,j),v) <- M, group by (i,j) ]")
+                .unwrap();
+        let n = normalize(e.clone());
+        let mut env = Env::new();
+        env.bind("M", matrix_value(2, 2));
+        env.bind("N", matrix_value(2, 2));
+        let cell = |i: i64, j: i64| {
+            Value::pair(Value::pair(Value::Int(i), Value::Int(j)), Value::Float(3.0))
+        };
+        let want = Value::List(vec![cell(0, 0), cell(0, 1), cell(1, 0), cell(1, 1)]);
+        assert_eq!(eval(&e, &mut env).unwrap(), want);
+        assert_eq!(eval(&n, &mut env).unwrap(), want, "{n}");
     }
 
     #[test]

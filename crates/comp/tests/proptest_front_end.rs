@@ -6,7 +6,8 @@
 //! * normalization preserves semantics for generated comprehensions with
 //!   guards/lets over a fixed matrix environment;
 //! * tuple-let splitting and copy propagation preserve semantics, including
-//!   patterns that rebind the generator variables.
+//!   patterns that rebind the generator variables;
+//! * eliminating an injective group-by keeps every reduction's monoid.
 
 use comp::ast::{BinOp, Comprehension, Expr, Pattern, Qualifier};
 use comp::desugar::{desugar, eval_core};
@@ -134,6 +135,22 @@ fn arb_tuple_let_comprehension() -> impl Strategy<Value = Comprehension> {
         })
 }
 
+/// A `rows × cols` matrix as a list of `((i,j), v)` with the given values
+/// (cycled).
+fn matrix_value(rows: usize, cols: usize, values: &[i64]) -> Value {
+    let mut out = Vec::new();
+    for i in 0..rows {
+        for j in 0..cols {
+            let v = values[(i * cols + j) % values.len()];
+            out.push(Value::pair(
+                Value::pair(Value::Int(i as i64), Value::Int(j as i64)),
+                Value::Int(v),
+            ));
+        }
+    }
+    Value::List(out)
+}
+
 /// Comparisons can yield booleans inside arithmetic; evaluation may fail on
 /// ill-typed combinations — both sides must then fail identically.
 fn eval_both(
@@ -193,6 +210,29 @@ proptest! {
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "divergence: original={a:?} normalized={b:?}"),
         }
+    }
+
+    #[test]
+    fn eliminated_group_by_keeps_reduction_monoids(
+        monoid in prop_oneof![Just("+"), Just("*"), Just("max"), Just("min")],
+        (m_rows, m_cols) in (1usize..4, 1usize..4),
+        (n_rows, n_cols) in (1usize..4, 1usize..4),
+        values in proptest::collection::vec(-5i64..6, 2..10),
+    ) {
+        // `group by (i,j)` over M's own key is injective, so rule (15)
+        // collapses `⊕/v` to `v`; the nested reduction over N must keep ⊕.
+        let src = format!(
+            "[ ((i,j), ({monoid}/v, {monoid}/[ x | ((a,b),x) <- N ])) | \
+             ((i,j),v) <- M, group by (i,j) ]"
+        );
+        let original = parse_expr(&src).unwrap();
+        let normalized = normalize(original.clone());
+        let mut env = Env::new();
+        env.bind("M", matrix_value(m_rows, m_cols, &values));
+        env.bind("N", matrix_value(n_rows, n_cols, &values[1..]));
+        let a = comp::eval(&original, &mut env).unwrap();
+        let b = comp::eval(&normalized, &mut env).unwrap();
+        prop_assert_eq!(a, b, "normalized to `{}`", normalized);
     }
 
     #[test]

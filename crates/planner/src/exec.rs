@@ -100,20 +100,24 @@ pub fn execute(
         tuned.partitions = autotune_partitions(&planned.output, ctx);
     }
     let config = &tuned;
-    if let Plan::FusedEltwise {
-        inputs,
-        program,
-        region_ops,
-        ..
-    } = &planned.plan
-    {
-        ctx.emit_event(|at_micros| Event::RegionFused {
+    match &planned.plan {
+        Plan::FusedEltwise {
+            inputs,
+            program,
+            region_ops,
+            ..
+        } => ctx.emit_event(|at_micros| Event::RegionFused {
             ops: program.len() as u64,
             inputs: inputs.len() as u64,
             signature: program.signature(),
             source: region_ops.join(";"),
             at_micros,
-        });
+        }),
+        Plan::LocalFallback { cause, .. } => ctx.emit_event(|at_micros| Event::PlanFallback {
+            cause: cause.message.clone(),
+            at_micros,
+        }),
+        _ => {}
     }
     if let Some(decision) = planned.plan.decision() {
         ctx.emit_event(|at_micros| Event::PlanChosen {

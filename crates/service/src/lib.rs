@@ -33,6 +33,7 @@ pub mod net;
 
 use planner::{DistArray, ExecResult};
 use sac::Session;
+use sparkline::events::escape_json;
 use sparkline::{panic_is_cancelled, CancelToken, Context, Event, FairScheduler};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -124,28 +125,12 @@ impl QueryReply {
             self.cache_hit
         );
         if let Some(v) = &self.value {
-            out.push_str(&format!(",\"value\":\"{}\"", escape_json(v)));
+            out.push_str(",\"value\":");
+            escape_json(v, &mut out);
         }
         out.push('}');
         out
     }
-}
-
-/// Escape a string for embedding in a JSON literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Builder for [`QueryService`].
@@ -392,9 +377,11 @@ impl ServiceStatus {
             .iter()
             .map(|t| {
                 let jobs: Vec<String> = t.running_jobs.iter().map(u64::to_string).collect();
+                let mut tenant = String::new();
+                escape_json(&t.tenant, &mut tenant);
                 format!(
-                    "{{\"tenant\":\"{}\",\"id\":{},\"running\":[{}],\"memory_used\":{},\"quota\":{}}}",
-                    escape_json(&t.tenant),
+                    "{{\"tenant\":{},\"id\":{},\"running\":[{}],\"memory_used\":{},\"quota\":{}}}",
+                    tenant,
                     t.id,
                     jobs.join(","),
                     t.memory_used,

@@ -560,7 +560,7 @@ impl Context {
     /// executor immediately restarts empty. Returns false for an unknown
     /// executor id.
     ///
-    /// Repeated kills accrue strikes; after [`BLACKLIST_STRIKES`] the
+    /// Repeated kills accrue strikes; after `BLACKLIST_STRIKES` of them the
     /// executor is blacklisted (no longer assigned worker threads) unless it
     /// is the last healthy one.
     ///

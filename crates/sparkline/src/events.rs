@@ -7,7 +7,9 @@
 //! failures), and per-task shuffle bytes/records written and read. Events
 //! are gathered by the context's [`EventCollector`] and can be folded into a
 //! queryable [`crate::profile::JobProfile`] or serialized as a JSON event
-//! log (see `EXPERIMENTS.md` for the schema).
+//! log. The `events!` table below is the schema: it declares each event once
+//! and generates the enum, its JSON writer and its parser (`EXPERIMENTS.md`
+//! documents the same table, and a test keeps the two in step).
 //!
 //! Collection is off by default and costs one relaxed atomic load per
 //! emission site when disabled, so the instrumented hot paths stay cheap.
@@ -16,21 +18,76 @@ use crate::sync::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// One structured runtime event. Timestamps are microseconds since the
-/// collector's epoch (context creation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+/// Declares every runtime event once. Each entry gives the variant, its
+/// `"type"` string and its typed fields in JSON key order; from that one
+/// table this macro generates the [`Event`] enum, [`Event::to_json`] and the
+/// log parser behind [`parse_events`]. Each field type's JSON form comes
+/// from its [`Field`] impl.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $kind:literal {
+            $( $(#[$field_doc:meta])* $field:ident: $ty:ty, )*
+        }
+    )*) => {
+        /// One structured runtime event. Timestamps are microseconds since the
+        /// collector's epoch (context creation).
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Event {
+            $( $(#[$doc])* $variant { $( $(#[$field_doc])* $field: $ty, )* }, )*
+        }
+
+        impl Event {
+            /// One-line JSON object for this event.
+            pub fn to_json(&self) -> String {
+                let mut out = String::new();
+                match self {
+                    $( Event::$variant { $($field),* } => {
+                        out.push_str(concat!("{\"type\":\"", $kind, "\""));
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write_json(&mut out);
+                        )*
+                    } )*
+                }
+                out.push('}');
+                out
+            }
+
+            /// `(type, [(field, Rust type)])` of every event, in table order.
+            #[cfg(test)]
+            const SCHEMA: &'static [(&'static str, &'static [(&'static str, &'static str)])] = &[
+                $( ($kind, &[ $( (stringify!($field), stringify!($ty)), )* ]), )*
+            ];
+        }
+
+        fn event_from_json(v: &JsonValue) -> Result<Event, String> {
+            let kind: String = v.field("type")?;
+            match kind.as_str() {
+                $( $kind => Ok(Event::$variant {
+                    $( $field: v.field(stringify!($field))?, )*
+                }), )*
+                other => Err(format!("unknown event type `{other}`")),
+            }
+        }
+    };
+}
+
+events! {
     /// An action (job) started on the driver.
-    JobStart {
+    JobStart = "job_start" {
         job_id: u64,
         /// Action name, e.g. `collect` or `count`.
         label: String,
         at_micros: u64,
-    },
+    }
     /// The matching action finished (successfully or not).
-    JobEnd { job_id: u64, wall_micros: u64 },
+    JobEnd = "job_end" {
+        job_id: u64,
+        wall_micros: u64,
+    }
     /// A stage of `tasks` tasks was submitted to the executor pool.
-    StageStart {
+    StageStart = "stage_start" {
         stage_id: u64,
         /// Innermost job running when the stage was submitted, if any.
         job_id: Option<u64>,
@@ -44,44 +101,47 @@ pub enum Event {
         lineage: Option<String>,
         tasks: usize,
         at_micros: u64,
-    },
+    }
     /// One task attempt finished. Failed attempts (`ok == false`) are
     /// emitted too, so retry storms are visible; `injected` marks failures
     /// planted by [`crate::Context::inject_task_failures`].
-    TaskEnd {
+    TaskEnd = "task_end" {
         stage_id: u64,
         task: usize,
         attempt: u32,
         wall_micros: u64,
         ok: bool,
         injected: bool,
-    },
+    }
     /// All tasks of the stage completed.
-    StageEnd { stage_id: u64, wall_micros: u64 },
+    StageEnd = "stage_end" {
+        stage_id: u64,
+        wall_micros: u64,
+    }
     /// One map task's shuffle output (its partition of the shuffle write).
-    ShuffleWrite {
+    ShuffleWrite = "shuffle_write" {
         stage_id: u64,
         shuffle_id: u64,
         operator: String,
         task: usize,
         bytes: u64,
         records: u64,
-    },
+    }
     /// One reduce task's shuffle input (its partition of the shuffle read).
-    ShuffleRead {
+    ShuffleRead = "shuffle_read" {
         stage_id: u64,
         shuffle_id: u64,
         operator: String,
         task: usize,
         bytes: u64,
         records: u64,
-    },
+    }
     /// One operator's output cardinality for one task attempt: how many rows
     /// flowed out of the operator's stream and a shallow byte estimate
     /// (`rows × size_of::<T>()`). Emitted once per operator per task attempt
     /// when tracing is on; retried or speculated attempts emit again, so
     /// consumers aggregating exact counts should run with chaos off.
-    OperatorOutput {
+    OperatorOutput = "operator_output" {
         /// Innermost stage whose task drained the stream, if any (driver-side
         /// drains carry no stage).
         stage_id: Option<u64>,
@@ -89,9 +149,9 @@ pub enum Event {
         operator: String,
         rows: u64,
         bytes: u64,
-    },
+    }
     /// A persisted partition was served from the block manager.
-    CacheHit {
+    CacheHit = "cache_hit" {
         /// Persisted dataset id ([`crate::storage::BlockManager`] key).
         dataset: u64,
         partition: usize,
@@ -102,99 +162,99 @@ pub enum Event {
         /// Innermost stage whose task performed the read, if any (cache
         /// reads on the driver carry no stage).
         stage_id: Option<u64>,
-    },
+    }
     /// A persisted partition was requested before it was ever stored.
-    CacheMiss {
+    CacheMiss = "cache_miss" {
         dataset: u64,
         partition: usize,
         stage_id: Option<u64>,
-    },
+    }
     /// A block was evicted to fit the storage budget; `spilled` says whether
     /// it moved to disk (else it was dropped and must be recomputed).
-    CacheEvict {
+    CacheEvict = "cache_evict" {
         dataset: u64,
         partition: usize,
         bytes: u64,
         spilled: bool,
         stage_id: Option<u64>,
-    },
+    }
     /// A block was written to a spill file (eviction of a disk-level block,
     /// or a direct spill of a block larger than the whole budget).
-    CacheSpill {
+    CacheSpill = "cache_spill" {
         dataset: u64,
         partition: usize,
         bytes: u64,
         stage_id: Option<u64>,
-    },
+    }
     /// A previously evicted partition was recomputed from lineage.
-    CacheRecompute {
+    CacheRecompute = "cache_recompute" {
         dataset: u64,
         partition: usize,
         stage_id: Option<u64>,
-    },
+    }
     /// A logical executor died (chaos kill or
     /// [`crate::Context::kill_executor`]): the shuffle map outputs and
     /// cached blocks it owned are lost and will be recomputed on demand.
-    ExecutorLost {
+    ExecutorLost = "executor_lost" {
         executor: usize,
         /// Live shuffle map outputs swept with the executor.
         lost_map_outputs: u64,
         /// Cached blocks swept with the executor.
         lost_blocks: u64,
         at_micros: u64,
-    },
+    }
     /// A worker *process* died (chaos `kill -9`, a crash, or a blown
     /// heartbeat deadline) and was respawned with an empty block store. The
     /// logical executors it hosted are swept like an
     /// [`Event::ExecutorLost`] each.
-    WorkerLost {
+    WorkerLost = "worker_lost" {
         worker: usize,
         /// How many logical executors were hosted on (and swept with) it.
         executors: u64,
         at_micros: u64,
-    },
+    }
     /// One remote shuffle-fetch attempt failed (dead worker, dropped stream,
     /// CRC-rejected frame) and is being retried with backoff. `attempt` is
     /// 0-based; exhausting the retry budget escalates to
     /// [`Event::FetchFailed`].
-    FetchRetry {
+    FetchRetry = "fetch_retry" {
         shuffle_id: u64,
         reduce_task: usize,
         map_partition: usize,
         attempt: u32,
-    },
+    }
     /// A reduce task found map outputs missing (executor loss or an injected
     /// fetch failure) and handed the stage back for resubmission instead of
     /// panicking.
-    FetchFailed {
+    FetchFailed = "fetch_failed" {
         shuffle_id: u64,
         /// The reduce stage whose task observed the failure.
         stage_id: u64,
         reduce_task: usize,
         /// How many map outputs that task found missing.
         lost_map_outputs: u64,
-    },
+    }
     /// The scheduler resubmitted a shuffle's map stage covering only its
     /// missing partitions. `attempt` counts resubmissions of this shuffle
     /// (the initial stage is attempt 0).
-    StageResubmitted {
+    StageResubmitted = "stage_resubmitted" {
         shuffle_id: u64,
         attempt: u32,
         /// Map partitions recomputed by this resubmission.
         missing_tasks: u64,
-    },
+    }
     /// A straggling task got a duplicate attempt on another executor
     /// (speculative execution); the first result wins.
-    TaskSpeculated {
+    TaskSpeculated = "task_speculated" {
         stage_id: u64,
         task: usize,
         /// Executor running the duplicate attempt.
         executor: usize,
-    },
+    }
     /// The planner resolved a cost-based physical choice (`plan.chosen`).
     /// Stage tags of the plan's shuffles equal `chosen`, which is how
     /// profiles pair the estimate with the actual shuffle bytes.
-    PlanChosen {
+    PlanChosen = "plan_chosen" {
         /// Chosen strategy tag, e.g. `contraction/broadcast`.
         chosen: String,
         /// False when the strategy was pinned by configuration.
@@ -207,14 +267,14 @@ pub enum Event {
         /// cost model considered eligible.
         candidates: Vec<(String, u64)>,
         at_micros: u64,
-    },
+    }
     /// The adaptive stage driver revised a plan-time decision at a stage
     /// frontier (`plan_replanned`): measured statistics from the node's
     /// materialized inputs re-ran the cost model and either switched the
     /// physical strategy, changed the shuffle partition count, or both.
     /// Emitted only when something actually changed — a frozen or honest
     /// plan produces none.
-    PlanReplanned {
+    PlanReplanned = "plan_replanned" {
         /// Plan-node tag the re-decision applies to (the tag its shuffle
         /// stages carry), e.g. `contraction/reduceByKey`.
         tag: String,
@@ -230,11 +290,11 @@ pub enum Event {
         /// the frontier revealed >= 2x partition skew).
         partitions: u64,
         at_micros: u64,
-    },
+    }
     /// The query service's fair scheduler granted a tenant job one of its
     /// admission slots. `queue_micros` is the wall time the job waited in the
     /// admission queue.
-    JobAdmitted {
+    JobAdmitted = "job_admitted" {
         /// Tenant name as registered with the service.
         tenant: String,
         /// Service-level job id (a separate id space from runtime `job_id`s:
@@ -242,31 +302,31 @@ pub enum Event {
         job: u64,
         queue_micros: u64,
         at_micros: u64,
-    },
+    }
     /// A cooperative cancellation was observed at a task boundary: the
     /// in-flight tasks of the current stage finish, no further tasks of the
     /// job are launched, and the driver unwinds with a cancellation payload.
     /// Emitted once per cancelled job.
-    JobCancelled {
+    JobCancelled = "job_cancelled" {
         tenant: String,
         /// Service-level job id (see [`Event::JobAdmitted`]).
         job: u64,
         /// Stage whose worker observed the cancellation, if any.
         stage_id: Option<u64>,
         at_micros: u64,
-    },
+    }
     /// A query's physical plan was served from the service's plan cache
     /// instead of being re-planned. `key` is the cache key hash (canonical
     /// comprehension text plus binding fingerprints and planner knobs).
-    PlanCacheHit {
+    PlanCacheHit = "plan_cache_hit" {
         tenant: String,
         key: u64,
         at_micros: u64,
-    },
+    }
     /// The planner collapsed an elementwise region into one fused tile
     /// program (`region_fused`): `ops` compiled instructions over `inputs`
     /// tile inputs, executed as a single kernel pass per tile.
-    RegionFused {
+    RegionFused = "region_fused" {
         /// Compiled instruction count of the fused program (after constant
         /// folding).
         ops: u64,
@@ -278,7 +338,16 @@ pub enum Event {
         /// Post-order source operator tags of the region, `;`-joined.
         source: String,
         at_micros: u64,
-    },
+    }
+    /// The planner found no distributed plan for a query, which runs on the
+    /// driver in the local reference interpreter instead (`plan_fallback`).
+    /// Emitted once per execution of such a plan.
+    PlanFallback = "plan_fallback" {
+        /// Why no distributed plan applied: the text `Planned::explain()`
+        /// prints as `localFallback (<cause>) -> …`.
+        cause: String,
+        at_micros: u64,
+    }
 }
 
 /// Lock-cheap event sink owned by a [`crate::Context`].
@@ -336,7 +405,8 @@ impl EventCollector {
 // JSON serialization (hand-rolled: the build environment has no serde).
 // ---------------------------------------------------------------------------
 
-fn escape_json(s: &str, out: &mut String) {
+/// Append `s` to `out` as a quoted JSON string literal.
+pub fn escape_json(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -352,437 +422,115 @@ fn escape_json(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct JsonObject {
-    buf: String,
-    first: bool,
+/// JSON codec of one event field type: how the table's typed fields are
+/// written to and read back from the event log.
+trait Field: Sized {
+    fn write_json(&self, out: &mut String);
+
+    /// `value` is `None` when the key is missing from the object.
+    fn read_json(value: Option<&JsonValue>) -> Result<Self, String>;
 }
 
-impl JsonObject {
-    fn new(kind: &str) -> Self {
-        let mut o = JsonObject {
-            buf: String::from("{"),
-            first: true,
-        };
-        o.str_field("type", kind);
-        o
+impl Field for u64 {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.to_string());
     }
 
-    fn key(&mut self, key: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        escape_json(key, &mut self.buf);
-        self.buf.push(':');
-    }
-
-    fn num_field(&mut self, key: &str, value: u64) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    fn bool_field(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    fn str_field(&mut self, key: &str, value: &str) -> &mut Self {
-        self.key(key);
-        escape_json(value, &mut self.buf);
-        self
-    }
-
-    fn opt_num_field(&mut self, key: &str, value: Option<u64>) -> &mut Self {
+    fn read_json(value: Option<&JsonValue>) -> Result<Self, String> {
         match value {
-            Some(v) => self.num_field(key, v),
-            None => {
-                self.key(key);
-                self.buf.push_str("null");
-                self
-            }
+            Some(JsonValue::Num(n)) => Ok(*n),
+            other => Err(format!("expected number, got {other:?}")),
         }
-    }
-
-    fn opt_str_field(&mut self, key: &str, value: Option<&str>) -> &mut Self {
-        match value {
-            Some(v) => self.str_field(key, v),
-            None => {
-                self.key(key);
-                self.buf.push_str("null");
-                self
-            }
-        }
-    }
-
-    /// Array of `{"strategy": ..., "est_bytes": ...}` objects.
-    fn candidates_field(&mut self, key: &str, items: &[(String, u64)]) -> &mut Self {
-        self.key(key);
-        self.buf.push('[');
-        for (i, (tag, bytes)) in items.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            self.buf.push_str("{\"strategy\":");
-            escape_json(tag, &mut self.buf);
-            self.buf.push_str(",\"est_bytes\":");
-            self.buf.push_str(&bytes.to_string());
-            self.buf.push('}');
-        }
-        self.buf.push(']');
-        self
-    }
-
-    fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
     }
 }
 
-impl Event {
-    /// One-line JSON object for this event.
-    pub fn to_json(&self) -> String {
+/// Narrow integers read through `u64` and reject values that do not fit,
+/// instead of wrapping them.
+macro_rules! narrow_int_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn write_json(&self, out: &mut String) {
+                out.push_str(&self.to_string());
+            }
+
+            fn read_json(value: Option<&JsonValue>) -> Result<Self, String> {
+                let n = u64::read_json(value)?;
+                <$t>::try_from(n).map_err(|_| format!("{n} does not fit in {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+
+narrow_int_field!(u32, usize);
+
+impl Field for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read_json(value: Option<&JsonValue>) -> Result<Self, String> {
+        match value {
+            Some(JsonValue::Bool(b)) => Ok(*b),
+            other => Err(format!("expected bool, got {other:?}")),
+        }
+    }
+}
+
+impl Field for String {
+    fn write_json(&self, out: &mut String) {
+        escape_json(self, out);
+    }
+
+    fn read_json(value: Option<&JsonValue>) -> Result<Self, String> {
+        match value {
+            Some(JsonValue::Str(s)) => Ok(s.clone()),
+            other => Err(format!("expected string, got {other:?}")),
+        }
+    }
+}
+
+/// Optional fields are written as `null` when absent and read back from
+/// `null` or a missing key (marked `?` in the EXPERIMENTS.md schema).
+impl<T: Field> Field for Option<T> {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Event::JobStart {
-                job_id,
-                label,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("job_start");
-                o.num_field("job_id", *job_id)
-                    .str_field("label", label)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn read_json(value: Option<&JsonValue>) -> Result<Self, String> {
+        match value {
+            Some(JsonValue::Null) | None => Ok(None),
+            value => T::read_json(value).map(Some),
+        }
+    }
+}
+
+/// Plan candidates: an array of `{"strategy": ..., "est_bytes": ...}`.
+impl Field for Vec<(String, u64)> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, (strategy, est_bytes)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            Event::JobEnd {
-                job_id,
-                wall_micros,
-            } => {
-                let mut o = JsonObject::new("job_end");
-                o.num_field("job_id", *job_id)
-                    .num_field("wall_micros", *wall_micros);
-                o.finish()
-            }
-            Event::StageStart {
-                stage_id,
-                job_id,
-                label,
-                tag,
-                lineage,
-                tasks,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("stage_start");
-                o.num_field("stage_id", *stage_id)
-                    .opt_num_field("job_id", *job_id)
-                    .str_field("label", label)
-                    .opt_str_field("tag", tag.as_deref())
-                    .opt_str_field("lineage", lineage.as_deref())
-                    .num_field("tasks", *tasks as u64)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
-            Event::TaskEnd {
-                stage_id,
-                task,
-                attempt,
-                wall_micros,
-                ok,
-                injected,
-            } => {
-                let mut o = JsonObject::new("task_end");
-                o.num_field("stage_id", *stage_id)
-                    .num_field("task", *task as u64)
-                    .num_field("attempt", *attempt as u64)
-                    .num_field("wall_micros", *wall_micros)
-                    .bool_field("ok", *ok)
-                    .bool_field("injected", *injected);
-                o.finish()
-            }
-            Event::StageEnd {
-                stage_id,
-                wall_micros,
-            } => {
-                let mut o = JsonObject::new("stage_end");
-                o.num_field("stage_id", *stage_id)
-                    .num_field("wall_micros", *wall_micros);
-                o.finish()
-            }
-            Event::ShuffleWrite {
-                stage_id,
-                shuffle_id,
-                operator,
-                task,
-                bytes,
-                records,
-            } => {
-                let mut o = JsonObject::new("shuffle_write");
-                o.num_field("stage_id", *stage_id)
-                    .num_field("shuffle_id", *shuffle_id)
-                    .str_field("operator", operator)
-                    .num_field("task", *task as u64)
-                    .num_field("bytes", *bytes)
-                    .num_field("records", *records);
-                o.finish()
-            }
-            Event::ShuffleRead {
-                stage_id,
-                shuffle_id,
-                operator,
-                task,
-                bytes,
-                records,
-            } => {
-                let mut o = JsonObject::new("shuffle_read");
-                o.num_field("stage_id", *stage_id)
-                    .num_field("shuffle_id", *shuffle_id)
-                    .str_field("operator", operator)
-                    .num_field("task", *task as u64)
-                    .num_field("bytes", *bytes)
-                    .num_field("records", *records);
-                o.finish()
-            }
-            Event::OperatorOutput {
-                stage_id,
-                task,
-                operator,
-                rows,
-                bytes,
-            } => {
-                let mut o = JsonObject::new("operator_output");
-                o.opt_num_field("stage_id", *stage_id)
-                    .num_field("task", *task as u64)
-                    .str_field("operator", operator)
-                    .num_field("rows", *rows)
-                    .num_field("bytes", *bytes);
-                o.finish()
-            }
-            Event::CacheHit {
-                dataset,
-                partition,
-                bytes,
-                from_disk,
-                stage_id,
-            } => {
-                let mut o = JsonObject::new("cache_hit");
-                o.num_field("dataset", *dataset)
-                    .num_field("partition", *partition as u64)
-                    .num_field("bytes", *bytes)
-                    .bool_field("from_disk", *from_disk)
-                    .opt_num_field("stage_id", *stage_id);
-                o.finish()
-            }
-            Event::CacheMiss {
-                dataset,
-                partition,
-                stage_id,
-            } => {
-                let mut o = JsonObject::new("cache_miss");
-                o.num_field("dataset", *dataset)
-                    .num_field("partition", *partition as u64)
-                    .opt_num_field("stage_id", *stage_id);
-                o.finish()
-            }
-            Event::CacheEvict {
-                dataset,
-                partition,
-                bytes,
-                spilled,
-                stage_id,
-            } => {
-                let mut o = JsonObject::new("cache_evict");
-                o.num_field("dataset", *dataset)
-                    .num_field("partition", *partition as u64)
-                    .num_field("bytes", *bytes)
-                    .bool_field("spilled", *spilled)
-                    .opt_num_field("stage_id", *stage_id);
-                o.finish()
-            }
-            Event::CacheSpill {
-                dataset,
-                partition,
-                bytes,
-                stage_id,
-            } => {
-                let mut o = JsonObject::new("cache_spill");
-                o.num_field("dataset", *dataset)
-                    .num_field("partition", *partition as u64)
-                    .num_field("bytes", *bytes)
-                    .opt_num_field("stage_id", *stage_id);
-                o.finish()
-            }
-            Event::CacheRecompute {
-                dataset,
-                partition,
-                stage_id,
-            } => {
-                let mut o = JsonObject::new("cache_recompute");
-                o.num_field("dataset", *dataset)
-                    .num_field("partition", *partition as u64)
-                    .opt_num_field("stage_id", *stage_id);
-                o.finish()
-            }
-            Event::ExecutorLost {
-                executor,
-                lost_map_outputs,
-                lost_blocks,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("executor_lost");
-                o.num_field("executor", *executor as u64)
-                    .num_field("lost_map_outputs", *lost_map_outputs)
-                    .num_field("lost_blocks", *lost_blocks)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
-            Event::WorkerLost {
-                worker,
-                executors,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("worker_lost");
-                o.num_field("worker", *worker as u64)
-                    .num_field("executors", *executors)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
-            Event::FetchRetry {
-                shuffle_id,
-                reduce_task,
-                map_partition,
-                attempt,
-            } => {
-                let mut o = JsonObject::new("fetch_retry");
-                o.num_field("shuffle_id", *shuffle_id)
-                    .num_field("reduce_task", *reduce_task as u64)
-                    .num_field("map_partition", *map_partition as u64)
-                    .num_field("attempt", u64::from(*attempt));
-                o.finish()
-            }
-            Event::FetchFailed {
-                shuffle_id,
-                stage_id,
-                reduce_task,
-                lost_map_outputs,
-            } => {
-                let mut o = JsonObject::new("fetch_failed");
-                o.num_field("shuffle_id", *shuffle_id)
-                    .num_field("stage_id", *stage_id)
-                    .num_field("reduce_task", *reduce_task as u64)
-                    .num_field("lost_map_outputs", *lost_map_outputs);
-                o.finish()
-            }
-            Event::StageResubmitted {
-                shuffle_id,
-                attempt,
-                missing_tasks,
-            } => {
-                let mut o = JsonObject::new("stage_resubmitted");
-                o.num_field("shuffle_id", *shuffle_id)
-                    .num_field("attempt", u64::from(*attempt))
-                    .num_field("missing_tasks", *missing_tasks);
-                o.finish()
-            }
-            Event::TaskSpeculated {
-                stage_id,
-                task,
-                executor,
-            } => {
-                let mut o = JsonObject::new("task_speculated");
-                o.num_field("stage_id", *stage_id)
-                    .num_field("task", *task as u64)
-                    .num_field("executor", *executor as u64);
-                o.finish()
-            }
-            Event::PlanChosen {
-                chosen,
-                auto,
-                partitions,
-                est_shuffle_bytes,
-                candidates,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("plan_chosen");
-                o.str_field("chosen", chosen)
-                    .bool_field("auto", *auto)
-                    .num_field("partitions", *partitions)
-                    .num_field("est_shuffle_bytes", *est_shuffle_bytes)
-                    .candidates_field("candidates", candidates)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
-            Event::PlanReplanned {
-                tag,
-                from,
-                to,
-                est_shuffle_bytes,
-                observed_bytes,
-                partitions,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("plan_replanned");
-                o.str_field("tag", tag)
-                    .str_field("from", from)
-                    .str_field("to", to)
-                    .num_field("est_shuffle_bytes", *est_shuffle_bytes)
-                    .num_field("observed_bytes", *observed_bytes)
-                    .num_field("partitions", *partitions)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
-            Event::JobAdmitted {
-                tenant,
-                job,
-                queue_micros,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("job_admitted");
-                o.str_field("tenant", tenant)
-                    .num_field("job", *job)
-                    .num_field("queue_micros", *queue_micros)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
-            Event::JobCancelled {
-                tenant,
-                job,
-                stage_id,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("job_cancelled");
-                o.str_field("tenant", tenant)
-                    .num_field("job", *job)
-                    .opt_num_field("stage_id", *stage_id)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
-            Event::PlanCacheHit {
-                tenant,
-                key,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("plan_cache_hit");
-                o.str_field("tenant", tenant)
-                    .num_field("key", *key)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
-            Event::RegionFused {
-                ops,
-                inputs,
-                signature,
-                source,
-                at_micros,
-            } => {
-                let mut o = JsonObject::new("region_fused");
-                o.num_field("ops", *ops)
-                    .num_field("inputs", *inputs)
-                    .str_field("signature", signature)
-                    .str_field("source", source)
-                    .num_field("at_micros", *at_micros);
-                o.finish()
-            }
+            out.push_str("{\"strategy\":");
+            strategy.write_json(out);
+            out.push_str(",\"est_bytes\":");
+            est_bytes.write_json(out);
+            out.push('}');
+        }
+        out.push(']');
+    }
+
+    fn read_json(value: Option<&JsonValue>) -> Result<Self, String> {
+        match value {
+            Some(JsonValue::Array(items)) => items
+                .iter()
+                .map(|it| Ok((it.field("strategy")?, it.field("est_bytes")?)))
+                .collect(),
+            other => Err(format!("expected array, got {other:?}")),
         }
     }
 }
@@ -984,228 +732,13 @@ impl<'a> Parser<'a> {
 }
 
 impl JsonValue {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JsonValue> {
-        match self {
+    /// The typed value of `key` in this object.
+    fn field<T: Field>(&self, key: &str) -> Result<T, String> {
+        let value = match self {
             JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
-        }
-    }
-
-    fn num(&self, key: &str) -> Result<u64, String> {
-        match self.get(key) {
-            Some(JsonValue::Num(n)) => Ok(*n),
-            other => Err(format!("field `{key}`: expected number, got {other:?}")),
-        }
-    }
-
-    fn boolean(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(JsonValue::Bool(b)) => Ok(*b),
-            other => Err(format!("field `{key}`: expected bool, got {other:?}")),
-        }
-    }
-
-    fn str_of(&self, key: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            other => Err(format!("field `{key}`: expected string, got {other:?}")),
-        }
-    }
-
-    fn opt_num(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            Some(JsonValue::Num(n)) => Ok(Some(*n)),
-            Some(JsonValue::Null) | None => Ok(None),
-            other => Err(format!(
-                "field `{key}`: expected number|null, got {other:?}"
-            )),
-        }
-    }
-
-    fn opt_str(&self, key: &str) -> Result<Option<String>, String> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => Ok(Some(s.clone())),
-            Some(JsonValue::Null) | None => Ok(None),
-            other => Err(format!(
-                "field `{key}`: expected string|null, got {other:?}"
-            )),
-        }
-    }
-
-    /// Array of `{"strategy", "est_bytes"}` objects (see
-    /// [`JsonObject::candidates_field`]).
-    fn candidates(&self, key: &str) -> Result<Vec<(String, u64)>, String> {
-        match self.get(key) {
-            Some(JsonValue::Array(items)) => items
-                .iter()
-                .map(|it| Ok((it.str_of("strategy")?, it.num("est_bytes")?)))
-                .collect(),
-            other => Err(format!("field `{key}`: expected array, got {other:?}")),
-        }
-    }
-}
-
-fn event_from_json(v: &JsonValue) -> Result<Event, String> {
-    let kind = v.str_of("type")?;
-    match kind.as_str() {
-        "job_start" => Ok(Event::JobStart {
-            job_id: v.num("job_id")?,
-            label: v.str_of("label")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        "job_end" => Ok(Event::JobEnd {
-            job_id: v.num("job_id")?,
-            wall_micros: v.num("wall_micros")?,
-        }),
-        "stage_start" => Ok(Event::StageStart {
-            stage_id: v.num("stage_id")?,
-            job_id: v.opt_num("job_id")?,
-            label: v.str_of("label")?,
-            tag: v.opt_str("tag")?,
-            lineage: v.opt_str("lineage")?,
-            tasks: v.num("tasks")? as usize,
-            at_micros: v.num("at_micros")?,
-        }),
-        "task_end" => Ok(Event::TaskEnd {
-            stage_id: v.num("stage_id")?,
-            task: v.num("task")? as usize,
-            attempt: v.num("attempt")? as u32,
-            wall_micros: v.num("wall_micros")?,
-            ok: v.boolean("ok")?,
-            injected: v.boolean("injected")?,
-        }),
-        "stage_end" => Ok(Event::StageEnd {
-            stage_id: v.num("stage_id")?,
-            wall_micros: v.num("wall_micros")?,
-        }),
-        "shuffle_write" => Ok(Event::ShuffleWrite {
-            stage_id: v.num("stage_id")?,
-            shuffle_id: v.num("shuffle_id")?,
-            operator: v.str_of("operator")?,
-            task: v.num("task")? as usize,
-            bytes: v.num("bytes")?,
-            records: v.num("records")?,
-        }),
-        "shuffle_read" => Ok(Event::ShuffleRead {
-            stage_id: v.num("stage_id")?,
-            shuffle_id: v.num("shuffle_id")?,
-            operator: v.str_of("operator")?,
-            task: v.num("task")? as usize,
-            bytes: v.num("bytes")?,
-            records: v.num("records")?,
-        }),
-        "operator_output" => Ok(Event::OperatorOutput {
-            stage_id: v.opt_num("stage_id")?,
-            task: v.num("task")? as usize,
-            operator: v.str_of("operator")?,
-            rows: v.num("rows")?,
-            bytes: v.num("bytes")?,
-        }),
-        "cache_hit" => Ok(Event::CacheHit {
-            dataset: v.num("dataset")?,
-            partition: v.num("partition")? as usize,
-            bytes: v.num("bytes")?,
-            from_disk: v.boolean("from_disk")?,
-            stage_id: v.opt_num("stage_id")?,
-        }),
-        "cache_miss" => Ok(Event::CacheMiss {
-            dataset: v.num("dataset")?,
-            partition: v.num("partition")? as usize,
-            stage_id: v.opt_num("stage_id")?,
-        }),
-        "cache_evict" => Ok(Event::CacheEvict {
-            dataset: v.num("dataset")?,
-            partition: v.num("partition")? as usize,
-            bytes: v.num("bytes")?,
-            spilled: v.boolean("spilled")?,
-            stage_id: v.opt_num("stage_id")?,
-        }),
-        "cache_spill" => Ok(Event::CacheSpill {
-            dataset: v.num("dataset")?,
-            partition: v.num("partition")? as usize,
-            bytes: v.num("bytes")?,
-            stage_id: v.opt_num("stage_id")?,
-        }),
-        "cache_recompute" => Ok(Event::CacheRecompute {
-            dataset: v.num("dataset")?,
-            partition: v.num("partition")? as usize,
-            stage_id: v.opt_num("stage_id")?,
-        }),
-        "executor_lost" => Ok(Event::ExecutorLost {
-            executor: v.num("executor")? as usize,
-            lost_map_outputs: v.num("lost_map_outputs")?,
-            lost_blocks: v.num("lost_blocks")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        "worker_lost" => Ok(Event::WorkerLost {
-            worker: v.num("worker")? as usize,
-            executors: v.num("executors")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        "fetch_retry" => Ok(Event::FetchRetry {
-            shuffle_id: v.num("shuffle_id")?,
-            reduce_task: v.num("reduce_task")? as usize,
-            map_partition: v.num("map_partition")? as usize,
-            attempt: v.num("attempt")? as u32,
-        }),
-        "fetch_failed" => Ok(Event::FetchFailed {
-            shuffle_id: v.num("shuffle_id")?,
-            stage_id: v.num("stage_id")?,
-            reduce_task: v.num("reduce_task")? as usize,
-            lost_map_outputs: v.num("lost_map_outputs")?,
-        }),
-        "stage_resubmitted" => Ok(Event::StageResubmitted {
-            shuffle_id: v.num("shuffle_id")?,
-            attempt: v.num("attempt")? as u32,
-            missing_tasks: v.num("missing_tasks")?,
-        }),
-        "task_speculated" => Ok(Event::TaskSpeculated {
-            stage_id: v.num("stage_id")?,
-            task: v.num("task")? as usize,
-            executor: v.num("executor")? as usize,
-        }),
-        "plan_chosen" => Ok(Event::PlanChosen {
-            chosen: v.str_of("chosen")?,
-            auto: v.boolean("auto")?,
-            partitions: v.num("partitions")?,
-            est_shuffle_bytes: v.num("est_shuffle_bytes")?,
-            candidates: v.candidates("candidates")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        "plan_replanned" => Ok(Event::PlanReplanned {
-            tag: v.str_of("tag")?,
-            from: v.str_of("from")?,
-            to: v.str_of("to")?,
-            est_shuffle_bytes: v.num("est_shuffle_bytes")?,
-            observed_bytes: v.num("observed_bytes")?,
-            partitions: v.num("partitions")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        "job_admitted" => Ok(Event::JobAdmitted {
-            tenant: v.str_of("tenant")?,
-            job: v.num("job")?,
-            queue_micros: v.num("queue_micros")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        "job_cancelled" => Ok(Event::JobCancelled {
-            tenant: v.str_of("tenant")?,
-            job: v.num("job")?,
-            stage_id: v.opt_num("stage_id")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        "plan_cache_hit" => Ok(Event::PlanCacheHit {
-            tenant: v.str_of("tenant")?,
-            key: v.num("key")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        "region_fused" => Ok(Event::RegionFused {
-            ops: v.num("ops")?,
-            inputs: v.num("inputs")?,
-            signature: v.str_of("signature")?,
-            source: v.str_of("source")?,
-            at_micros: v.num("at_micros")?,
-        }),
-        other => Err(format!("unknown event type `{other}`")),
+        };
+        T::read_json(value).map_err(|e| format!("field `{key}`: {e}"))
     }
 }
 
@@ -1381,6 +914,10 @@ mod tests {
                 source: "load;load;const;mul;add".into(),
                 at_micros: 89,
             },
+            Event::PlanFallback {
+                cause: "not a tiled builder".into(),
+                at_micros: 89,
+            },
             Event::StageEnd {
                 stage_id: 1,
                 wall_micros: 90,
@@ -1398,6 +935,97 @@ mod tests {
         let json = to_json(&events);
         let back = parse_events(&json).expect("parse back");
         assert_eq!(events, back);
+    }
+
+    /// The writer's bytes are pinned: every line but `plan_fallback` was
+    /// recorded from the hand-written writer the table replaced.
+    #[test]
+    fn json_writer_output_is_pinned() {
+        let want = r#"[
+  {"type":"job_start","job_id":0,"label":"collect","at_micros":10},
+  {"type":"stage_start","stage_id":1,"job_id":0,"label":"shuffle.map(reduceByKey)","tag":"contraction/reduceByKey","lineage":"reduceByKey <~ map \"quoted\"","tasks":4,"at_micros":12},
+  {"type":"task_end","stage_id":1,"task":2,"attempt":1,"wall_micros":55,"ok":false,"injected":true},
+  {"type":"shuffle_write","stage_id":1,"shuffle_id":7,"operator":"reduceByKey","task":2,"bytes":4096,"records":16},
+  {"type":"shuffle_read","stage_id":2,"shuffle_id":7,"operator":"reduceByKey","task":0,"bytes":1024,"records":4},
+  {"type":"operator_output","stage_id":1,"task":2,"operator":"filter \"odd\"","rows":9,"bytes":72},
+  {"type":"cache_miss","dataset":5,"partition":0,"stage_id":2},
+  {"type":"cache_evict","dataset":5,"partition":1,"bytes":64,"spilled":true,"stage_id":2},
+  {"type":"cache_spill","dataset":5,"partition":1,"bytes":64,"stage_id":2},
+  {"type":"cache_recompute","dataset":5,"partition":1,"stage_id":null},
+  {"type":"cache_hit","dataset":5,"partition":0,"bytes":128,"from_disk":false,"stage_id":null},
+  {"type":"executor_lost","executor":1,"lost_map_outputs":3,"lost_blocks":2,"at_micros":70},
+  {"type":"worker_lost","worker":1,"executors":2,"at_micros":71},
+  {"type":"fetch_retry","shuffle_id":7,"reduce_task":1,"map_partition":3,"attempt":0},
+  {"type":"fetch_failed","shuffle_id":7,"stage_id":2,"reduce_task":1,"lost_map_outputs":3},
+  {"type":"stage_resubmitted","shuffle_id":7,"attempt":1,"missing_tasks":3},
+  {"type":"task_speculated","stage_id":2,"task":3,"executor":0},
+  {"type":"plan_chosen","chosen":"contraction/broadcast","auto":true,"partitions":16,"est_shuffle_bytes":4096,"candidates":[{"strategy":"contraction/broadcast","est_bytes":4096},{"strategy":"contraction/groupByJoin","est_bytes":65536}],"at_micros":80},
+  {"type":"plan_replanned","tag":"contraction/reduceByKey","from":"contraction/reduceByKey","to":"contraction/broadcast","est_shuffle_bytes":65536,"observed_bytes":4096,"partitions":16,"at_micros":81},
+  {"type":"job_admitted","tenant":"alice","job":3,"queue_micros":250,"at_micros":82},
+  {"type":"job_cancelled","tenant":"mallory","job":4,"stage_id":2,"at_micros":85},
+  {"type":"plan_cache_hit","tenant":"alice","key":4276993775,"at_micros":88},
+  {"type":"region_fused","ops":5,"inputs":2,"signature":"s0;s1;c0.5;mul;add","source":"load;load;const;mul;add","at_micros":89},
+  {"type":"plan_fallback","cause":"not a tiled builder","at_micros":89},
+  {"type":"stage_end","stage_id":1,"wall_micros":90},
+  {"type":"job_end","job_id":0,"wall_micros":120}
+]"#;
+        assert_eq!(to_json(&sample_events()), want);
+    }
+
+    /// Every kind in the table appears in `sample_events`, so the round-trip
+    /// and golden tests cover each new event.
+    #[test]
+    fn sample_events_cover_every_kind() {
+        let json = to_json(&sample_events());
+        for (kind, _) in Event::SCHEMA {
+            assert!(
+                json.contains(&format!("{{\"type\":\"{kind}\"")),
+                "sample_events() has no `{kind}` event"
+            );
+        }
+    }
+
+    /// The EXPERIMENTS.md "Trace event-log format" table lists every kind
+    /// with the table's fields, in order, optional ones marked `?`.
+    #[test]
+    fn experiments_md_documents_every_event() {
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let section = doc
+            .split("## Trace event-log format")
+            .nth(1)
+            .and_then(|rest| rest.split("\n## ").next())
+            .expect("EXPERIMENTS.md has a trace event-log format section");
+        let mut documented: Vec<(String, Vec<String>)> = section
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.strip_prefix("| `")?.split(" | ");
+                let kind = cells.next()?.trim_end_matches('`').to_string();
+                // The header row's second cell is `Fields`, not a list.
+                let fields = cells
+                    .next()
+                    .filter(|cell| cell.starts_with('`'))?
+                    .split(", ")
+                    .map(|f| f.trim_matches('`').to_string())
+                    .collect();
+                Some((kind, fields))
+            })
+            .collect();
+        let mut declared: Vec<(String, Vec<String>)> = Event::SCHEMA
+            .iter()
+            .map(|(kind, fields)| {
+                let fields = fields
+                    .iter()
+                    .map(|(name, ty)| {
+                        let mark = if ty.starts_with("Option") { "?" } else { "" };
+                        format!("{name}{mark}")
+                    })
+                    .collect();
+                (kind.to_string(), fields)
+            })
+            .collect();
+        documented.sort();
+        declared.sort();
+        assert_eq!(documented, declared);
     }
 
     #[test]
@@ -1470,6 +1098,12 @@ mod tests {
         assert!(parse_events("[{\"type\":\"mystery\"}]").is_err());
         assert!(parse_events("[").is_err());
         assert!(parse_events("[] trailing").is_err());
+        // 2^32 does not fit `attempt: u32`; it must not wrap to attempt 0.
+        assert!(parse_events(
+            "[{\"type\":\"task_end\",\"stage_id\":0,\"task\":0,\"attempt\":4294967296,\
+             \"wall_micros\":0,\"ok\":true,\"injected\":false}]"
+        )
+        .is_err());
     }
 
     #[test]

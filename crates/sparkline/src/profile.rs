@@ -391,6 +391,9 @@ pub struct JobProfile {
     pub plan_choices: Vec<PlanChoice>,
     /// Fused elementwise regions (`region_fused` events), in emission order.
     pub fused_regions: Vec<FusedRegion>,
+    /// Causes of local-interpreter fallbacks (`plan_fallback` events), in
+    /// emission order.
+    pub plan_fallbacks: Vec<String>,
     /// Multi-tenant admission / cancellation / plan-cache activity.
     pub service: ServiceStats,
 }
@@ -613,6 +616,7 @@ impl JobProfile {
                     signature: signature.clone(),
                     source: source.clone(),
                 }),
+                Event::PlanFallback { cause, .. } => profile.plan_fallbacks.push(cause.clone()),
             }
         }
         // Recovery wall-clock: time spent in resubmitted map stages (labels
@@ -803,6 +807,9 @@ impl JobProfile {
                     fmt_bytes(replan.observed_bytes),
                 ));
             }
+        }
+        for cause in &self.plan_fallbacks {
+            out.push_str(&format!("plan.fallback: {cause}\n"));
         }
         for (dataset, stats) in &self.cache_by_dataset {
             out.push_str(&format!("cache dataset {}: {}\n", dataset, stats.render()));

@@ -819,6 +819,11 @@ fn nested_eltwise_traces_one_fused_region_and_no_shuffle() {
     assert_eq!(analysis.profile.fused_regions.len(), 1);
     assert_eq!(analysis.profile.fused_regions[0].inputs, 2);
     assert_eq!(shuffle_stages(&analysis.profile), 0);
+    assert!(
+        analysis.profile.plan_fallbacks.is_empty(),
+        "a fused query must not report a fallback:\n{}",
+        analysis.profile.render()
+    );
 }
 
 #[test]
@@ -835,6 +840,21 @@ fn explain_names_the_fallback_cause() {
     assert_eq!(
         s.compile(src).unwrap().plan.strategy_name(),
         "localFallback"
+    );
+    // A traced run announces the fallback once, with the explained cause.
+    let cause = plan
+        .strip_prefix("localFallback (")
+        .and_then(|rest| rest.strip_suffix(") -> matrix 8x8"))
+        .unwrap();
+    let analysis = s.explain_analyze(src).unwrap();
+    assert_eq!(analysis.profile.plan_fallbacks, [cause]);
+    assert!(
+        analysis
+            .profile
+            .render()
+            .contains(&format!("plan.fallback: {cause}")),
+        "{}",
+        analysis.profile.render()
     );
 }
 
